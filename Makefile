@@ -5,7 +5,6 @@
 #   make test       full unit/property/integration suite
 #   make bench      regenerate every paper table & figure
 #   make bench-engine  engine dispatch/cache/dynamic-timeline gates
-#   make bench-parallel  parallel backend vs csr speedup gate
 #   make bench-peel    vectorized vs scalar peel executor speedup gate
 #   make bench-batch   batched maintenance vs per-op speedup gate
 #   make bench-service  query-service closed-loop load generator
@@ -21,7 +20,7 @@
 PYTHON ?= python3
 export PYTHONPATH := src
 
-.PHONY: install test bench bench-engine bench-parallel bench-peel bench-batch bench-service bench-replication bench-external figures examples artifacts clean
+.PHONY: install test bench bench-engine bench-peel bench-batch bench-service bench-replication bench-external figures examples artifacts clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -34,9 +33,6 @@ bench:
 
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_engine_overhead.py -q
-
-bench-parallel:
-	$(PYTHON) benchmarks/bench_parallel_backend.py
 
 bench-peel:
 	$(PYTHON) benchmarks/bench_peel.py

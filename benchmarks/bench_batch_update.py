@@ -17,8 +17,7 @@ Two artifacts are written:
 
 Acceptance gate (ISSUE 6): ``strategy="batch"`` must be >= 5x faster
 than per-op application on both profiles at the gate batch size.  The
-gate is single-core, so unlike the parallel backend's it is enforced
-unconditionally.
+gate is single-core, so it is enforced on every host.
 
 Run stand-alone (no pytest) with ``python benchmarks/bench_batch_update.py
 [--smoke]``; ``--smoke`` shrinks the workload and does one timing pass

@@ -111,7 +111,6 @@ def triangle_kcore_decomposition(
     *,
     store_membership: bool = False,
     backend: str = "auto",
-    workers: Optional[int] = None,
     counters: Optional[Dict[str, int]] = None,
 ) -> TriangleKCoreResult:
     """Run Algorithm 1 on ``graph``.
@@ -130,14 +129,9 @@ def triangle_kcore_decomposition(
         ``"reference"`` runs the dict-based implementation below;
         ``"csr"`` snapshots the graph into flat integer arrays and runs the
         :mod:`repro.fast` kernels (identical kappa maps, much faster on
-        large graphs); ``"parallel"`` additionally fans the triangle
-        enumeration out over a process pool (bit-identical to ``"csr"``);
-        ``"auto"`` (default) picks per the policy documented in
-        :mod:`repro.fast`.
-    workers:
-        Worker-process count for the ``"parallel"`` backend (and the
-        ``"auto"`` escalation policy); ``None`` means one per CPU.
-        Ignored by the in-process backends.
+        large graphs); ``"csr-vec"`` swaps in the vectorized peel
+        (identical kappa); ``"auto"`` (default) picks per the policy
+        documented in :mod:`repro.fast`.
     counters:
         Optional dict that, when provided, receives work counters at no
         measurable cost (they are derived from state the peel computes
@@ -164,26 +158,12 @@ def triangle_kcore_decomposition(
     >>> result.kappa_of("B", "C")
     2
     """
-    from ..fast import (
-        backend_executor,
-        csr_decomposition,
-        parallel_decomposition,
-        resolve_backend,
-    )
+    from ..fast import backend_executor, csr_decomposition, resolve_backend
 
-    resolved = resolve_backend(
-        backend, graph, needs_reference=store_membership, workers=workers
-    )
+    resolved = resolve_backend(backend, graph, needs_reference=store_membership)
     if resolved in ("csr", "csr-vec"):
         return csr_decomposition(
             graph, counters=counters, executor=backend_executor(resolved)
-        )
-    if resolved in ("parallel", "parallel-vec"):
-        return parallel_decomposition(
-            graph,
-            workers=workers,
-            counters=counters,
-            executor=backend_executor(resolved),
         )
 
     # Steps 1-5: initial upper bounds = triangle supports.  A single pass

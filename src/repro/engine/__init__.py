@@ -4,8 +4,8 @@ One instrumented, cached, backend-dispatched path for every
 :math:`\\kappa(e)` consumer.  See :mod:`repro.engine.engine` for the
 design; the short version:
 
-* :class:`Engine` — backend registry (``reference``/``csr``/``parallel``/
-  ``auto`` plus the snapshot-oriented ``dynamic`` strategy), a
+* :class:`Engine` — backend registry (``reference``/``csr``/``csr-vec``/
+  ``external``/``auto`` plus the snapshot-oriented ``dynamic`` strategy), a
   version-keyed artifact cache over
   :attr:`Graph.version <repro.graph.undirected.Graph.version>`,
   :meth:`Engine.map_decompose <repro.engine.engine.Engine.map_decompose>`

@@ -8,10 +8,10 @@ The engine owns three concerns those layers previously re-implemented (or
 simply lacked):
 
 **Backend registry.**  ``"reference"``, ``"csr"``, ``"csr-vec"``,
-``"parallel"``, ``"parallel-vec"``, ``"external"`` (out-of-core spill —
-see :mod:`repro.fast.external`) and ``"auto"`` dispatch exactly as
-before (the composition policy lives in :mod:`repro.fast` — see
-DESIGN.md "Kernel layering"), plus a ``"dynamic"`` strategy: the first decomposition warms a
+``"external"`` (out-of-core spill — see :mod:`repro.fast.external`) and
+``"auto"`` dispatch exactly as before (the composition policy lives in
+:mod:`repro.fast` — see DESIGN.md "Kernel layering"), plus a
+``"dynamic"`` strategy: the first decomposition warms a
 :class:`~repro.core.dynamic.DynamicTriangleKCore`, and every subsequent
 call answers by diffing the requested graph against the maintainer's state
 and applying the delta incrementally (Algorithm 2) — the shape snapshot
@@ -125,55 +125,6 @@ def _decompose_csr_vec(
     return _decompose_csr_family(engine, graph, store_membership, "csr-vec")
 
 
-def _decompose_parallel_family(
-    engine: "Engine", graph: Graph, store_membership: bool, backend: str
-) -> TriangleKCoreResult:
-    """``"parallel"``/``"parallel-vec"``: sharded enumeration + peel."""
-    if store_membership:
-        raise ValueError(
-            f"backend={backend!r} does not support membership bookkeeping; "
-            "use backend='reference' (or 'auto')"
-        )
-    from ..fast import backend_executor
-    from ..fast.parallel import ParallelInfo, parallel_decomposition
-
-    counters: Dict[str, int] = {}
-    peel_stats: Dict[str, object] = {}
-    info: ParallelInfo = {}
-    with engine.stats.stage(f"decompose.{backend}"):
-        result = parallel_decomposition(
-            graph,
-            workers=engine.workers,
-            counters=counters,
-            info=info,
-            executor=backend_executor(backend),
-            peel_stats=peel_stats,
-        )
-    engine.stats.merge_counters(counters)
-    engine.stats.record_parallel(
-        info.get("workers", 1),
-        info.get("shard_seconds", []),
-        str(info.get("transport", "inprocess")),
-        int(info.get("bytes_shipped", 0)),
-    )
-    engine.stats.record_peel(peel_stats)
-    return result
-
-
-def _decompose_parallel(
-    engine: "Engine", graph: Graph, store_membership: bool
-) -> TriangleKCoreResult:
-    return _decompose_parallel_family(engine, graph, store_membership, "parallel")
-
-
-def _decompose_parallel_vec(
-    engine: "Engine", graph: Graph, store_membership: bool
-) -> TriangleKCoreResult:
-    return _decompose_parallel_family(
-        engine, graph, store_membership, "parallel-vec"
-    )
-
-
 def _decompose_external(
     engine: "Engine", graph: Graph, store_membership: bool
 ) -> TriangleKCoreResult:
@@ -223,8 +174,6 @@ _BUILTIN_BACKENDS: Dict[str, BackendFn] = {
     "reference": _decompose_reference,
     "csr": _decompose_csr,
     "csr-vec": _decompose_csr_vec,
-    "parallel": _decompose_parallel,
-    "parallel-vec": _decompose_parallel_vec,
     "external": _decompose_external,
     "dynamic": _decompose_dynamic,
 }
@@ -254,12 +203,6 @@ class Engine:
         whole edit batch), ``"recompute"``, or ``"auto"`` (default —
         incremental below the measured churn crossover, one recompute
         above it).
-    workers:
-        Worker-process count for the ``"parallel"`` backend, and the
-        input to ``"auto"``'s parallel-escalation policy.  ``None``
-        (default) means one per CPU; ``1`` disables pool spawning
-        entirely (the parallel backend then runs its in-process
-        short-circuit and ``"auto"`` never escalates past ``"csr"``).
     spill_dir:
         Spill directory for the ``"external"`` backend.  ``None``
         (default) uses a private temporary directory per decomposition,
@@ -292,7 +235,6 @@ class Engine:
         default_backend: str = "auto",
         max_cached_graphs: int = 8,
         dynamic_strategy: str = "auto",
-        workers: Optional[int] = None,
         spill_dir: Optional[str] = None,
         memory_budget: Optional[int] = None,
     ) -> None:
@@ -306,8 +248,6 @@ class Engine:
                 "dynamic_strategy must be incremental/recompute/auto/batch, "
                 f"got {dynamic_strategy!r}"
             )
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if memory_budget is not None and memory_budget < 1:
             raise ValueError(
                 f"memory_budget must be >= 1 byte, got {memory_budget}"
@@ -317,7 +257,6 @@ class Engine:
         self._cache: "OrderedDict[int, _GraphEntry]" = OrderedDict()
         self._max_cached_graphs = max_cached_graphs
         self.dynamic_strategy = dynamic_strategy
-        self.workers = workers
         self.spill_dir = spill_dir
         self.memory_budget = memory_budget
         self.stats = EngineStats()
@@ -386,7 +325,6 @@ class Engine:
                 "auto",
                 graph,
                 needs_reference=store_membership,
-                workers=self.workers,
                 memory_budget=self.memory_budget,
             )
         if name not in self._registry:
@@ -487,7 +425,6 @@ class Engine:
         *,
         backend: Optional[str] = None,
         store_membership: bool = False,
-        workers: Optional[int] = None,
         use_cache: bool = True,
     ) -> List[TriangleKCoreResult]:
         """Decompose many graphs, one result per input, in input order.
@@ -498,35 +435,19 @@ class Engine:
         ``len - 1`` cache hits.  ``backend`` resolves per graph exactly as
         in :meth:`decompose` (``"auto"`` may pick differently for graphs
         of different sizes within one batch).
-
-        ``workers`` overrides the engine's worker count for the duration
-        of the batch — the knob for "decompose this list with the
-        parallel backend at N workers" without constructing a second
-        engine.  The pool itself is per-decomposition; graphs are *not*
-        fanned out against each other (results would then race for the
-        warm dynamic maintainer and the stats counters — per-graph
-        sharding already owns the parallelism).
         """
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        saved_workers = self.workers
-        if workers is not None:
-            self.workers = workers
         self.stats.bump("batch_calls")
-        try:
-            results: List[TriangleKCoreResult] = []
-            with self.stats.stage("decompose.batch"):
-                for graph in graphs:
-                    results.append(
-                        self.decompose(
-                            graph,
-                            backend=backend,
-                            store_membership=store_membership,
-                            use_cache=use_cache,
-                        )
+        results: List[TriangleKCoreResult] = []
+        with self.stats.stage("decompose.batch"):
+            for graph in graphs:
+                results.append(
+                    self.decompose(
+                        graph,
+                        backend=backend,
+                        store_membership=store_membership,
+                        use_cache=use_cache,
                     )
-        finally:
-            self.workers = saved_workers
+                )
         self.stats.bump("batch_graphs", len(results))
         return results
 
@@ -767,9 +688,9 @@ class Engine:
 
         ``provider()`` is called on every ``stats_dict()`` and its return
         value is embedded under ``payload[name]``.  Sections are additive
-        on top of the ``repro.engine.stats/6`` schema (every /5 key is
-        untouched); a long-lived consumer — the service layer — uses this
-        to publish its own telemetry through the one ``--stats`` pipe.
+        on top of the ``repro.engine.stats/7`` schema; a long-lived
+        consumer — the service layer — uses this to publish its own
+        telemetry through the one ``--stats`` pipe.
         Reserved schema keys cannot be shadowed.
         """
         reserved = {
@@ -778,7 +699,6 @@ class Engine:
             "backend_calls",
             "stage_seconds",
             "batch",
-            "parallel",
             "peel",
             "external",
             "workspace",

@@ -4,19 +4,17 @@ The reference implementations in :mod:`repro.core` and
 :mod:`repro.graph.triangles` run on hash-keyed dicts of canonical edge
 tuples: ideal for dynamic updates and as a cross-validation oracle, but an
 order of magnitude slower than necessary for one-shot static work.  This
-package provides the fast paths behind ``backend="csr"``, ``"csr-vec"``,
-``"parallel"`` and ``"parallel-vec"``, organized as four explicit layers
-(DESIGN.md "Kernel layering" has the full composition table):
+package provides the fast paths behind ``backend="csr"`` and
+``"csr-vec"``, organized as four explicit layers (DESIGN.md "Kernel
+layering" has the full composition table):
 
 * **L1 — substrate**: :class:`~repro.fast.csr.CSRGraph`, an immutable
   integer-relabeled CSR snapshot whose five kernel arrays form a
-  pluggable store — stdlib ``array``, or zero-copy ``memoryview`` slices
-  over a ``multiprocessing.shared_memory`` segment
-  (:class:`~repro.fast.shm.SharedCSR`);
+  pluggable store (stdlib ``array``, ``bytes`` or ``memoryview``);
 * **L2 — enumeration**: :mod:`~repro.fast.kernels` — forward-algorithm
-  triangle counting/supports over any substrate, shardable by vertex
-  range (:mod:`~repro.fast.parallel` fans shards over a process pool,
-  shipping only the shared-memory attach descriptor to each worker);
+  triangle counting/supports over any substrate, restrictable to a
+  vertex range (the out-of-core backend enumerates partition by
+  partition);
 * **L3 — peel executor**: :mod:`~repro.fast.peelers` — Algorithm 1
   behind the :class:`~repro.fast.peelers.PeelExecutor` seam: the scalar
   bucket-queue walk or the vectorized level-synchronous executor;
@@ -38,18 +36,9 @@ Backends
 ``"csr-vec"``
     ``"csr"`` with the **vector** (level-synchronous, batched-decrement)
     peel executor.  Identical kappa; canonical processing order
-    (ascending level, sub-round, edge id).  The single-core win on large
-    graphs when numpy is present (``make bench-peel``); without numpy a
+    (ascending level, sub-round, edge id).  The fastest in-RAM backend
+    whenever numpy is present (``BENCH_kernels.json``); without numpy a
     bit-identical pure path keeps it available everywhere.
-``"parallel"``
-    ``"csr"`` with the triangle enumeration fanned out over a
-    ``multiprocessing`` pool, the CSR handed to workers zero-copy via
-    shared memory (:mod:`repro.fast.parallel`).  Bit-identical to
-    ``"csr"`` — same kappa map *and* processing order — for any worker
-    count.
-``"parallel-vec"``
-    Sharded enumeration + vector peel: the full composition.
-    Bit-identical to ``"csr-vec"`` for any worker count.
 ``"external"``
     Out-of-core: the CSR columns live in mmap'd spill files under a
     spill directory, triangles are enumerated partition by partition to
@@ -61,20 +50,20 @@ Backends
 ``"auto"``
     By measured tiering: ``"external"`` when a ``memory_budget`` is
     configured and the estimated CSR payload exceeds it (or the graph
-    has at least :data:`AUTO_EXTERNAL_MIN_EDGES` edges); else
-    ``"parallel-vec"`` (or ``"parallel"`` without numpy) for static
-    calls on graphs with at least :data:`AUTO_PARALLEL_MIN_EDGES` edges
-    when more than one CPU is available; else ``"csr-vec"`` at or above
-    :data:`AUTO_VECTOR_MIN_EDGES` edges when numpy is present; else
-    ``"csr"`` at or above :data:`AUTO_MIN_EDGES` (snapshot construction
-    overhead dominates below that); else ``"reference"`` — and always
+    has at least :data:`AUTO_EXTERNAL_MIN_EDGES` edges); else, at or
+    above :data:`AUTO_MIN_EDGES` edges, ``"csr-vec"`` when numpy is
+    present and ``"csr"`` without it; else ``"reference"`` — and always
     ``"reference"`` whenever membership bookkeeping is requested.
+    ``BENCH_kernels.json`` (``benchmarks/bench_backend_kernels.py``)
+    records the evidence: ``csr-vec`` beats scalar ``csr`` at every
+    swept size from m≈1k to m≈100k on R-MAT and caveman graphs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..exceptions import BackendError
 from ..graph.edge import Edge
 from ..graph.undirected import Graph
 from .csr import CSRGraph
@@ -88,22 +77,11 @@ from .external import (
     spill_edges,
 )
 from .kernels import peel, supports_and_triangles, triangle_count, triangle_supports
-from .parallel import (
-    BackendError,
-    effective_workers,
-    inject_shard_merge_bug,
-    parallel_count_triangles,
-    parallel_decomposition,
-    parallel_supports_and_triangles,
-    shard_ranges,
-)
 from .peelers import PEEL_EXECUTORS, run_peel
 
 __all__ = [
     "AUTO_EXTERNAL_MIN_EDGES",
     "AUTO_MIN_EDGES",
-    "AUTO_PARALLEL_MIN_EDGES",
-    "AUTO_VECTOR_MIN_EDGES",
     "BACKENDS",
     "BackendError",
     "CSRGraph",
@@ -116,19 +94,12 @@ __all__ = [
     "csr_decomposition",
     "csr_triangle_supports",
     "decompose_spill",
-    "effective_workers",
     "estimated_payload_nbytes",
     "external_decomposition",
     "inject_boundary_drop_bug",
-    "inject_shard_merge_bug",
-    "parallel_count_triangles",
-    "parallel_decomposition",
-    "parallel_supports_and_triangles",
-    "parallel_triangle_supports",
     "peel",
     "resolve_backend",
     "run_peel",
-    "shard_ranges",
     "spill_edges",
     "supports_and_triangles",
     "triangle_count",
@@ -142,27 +113,15 @@ BACKENDS = (
     "reference",
     "csr",
     "csr-vec",
-    "parallel",
-    "parallel-vec",
     "external",
 )
 
 #: "auto" switches to the CSR kernels at this edge count; below it the
 #: snapshot build costs more than the dict overhead it saves (measured in
 #: benchmarks/bench_backend_kernels.py — the crossover sits near 10^3 edges).
+#: At and above it the vector peel wins too (``BENCH_kernels.json``
+#: ``executor_sweep``), so there is no separate vector threshold.
 AUTO_MIN_EDGES = 1024
-
-#: "auto" escalates the peel from "scalar" to "vector" at this edge count
-#: when numpy is importable (measured in benchmarks/bench_peel.py: the
-#: level-synchronous executor loses below ~2·10^4 edges — too few edges
-#: per frontier to amortize the array passes — and wins 2-3x above it).
-AUTO_VECTOR_MIN_EDGES = 32768
-
-#: "auto" escalates to the sharded enumeration at this edge count, provided
-#: more than one CPU is available (measured in
-#: benchmarks/bench_parallel_backend.py — below it the pool spawn costs
-#: more than the sharded enumeration saves).
-AUTO_PARALLEL_MIN_EDGES = 65536
 
 #: "auto" escalates to the out-of-core backend at this edge count even
 #: without an explicit memory budget — the point where the in-RAM
@@ -198,20 +157,18 @@ def resolve_backend(
     graph: Graph,
     *,
     needs_reference: bool = False,
-    workers: Optional[int] = None,
     memory_budget: Optional[int] = None,
 ) -> str:
     """Resolve ``backend`` to a concrete kernel composition.
 
-    Returns one of ``"reference"``, ``"csr"``, ``"csr-vec"``,
-    ``"parallel"``, ``"parallel-vec"`` or ``"external"``.
+    Returns one of ``"reference"``, ``"csr"``, ``"csr-vec"`` or
+    ``"external"``.
     ``needs_reference`` marks calls the kernels cannot serve (currently:
     membership bookkeeping); ``"auto"`` then degrades silently while an
     explicit kernel backend raises, so callers never get an answer
-    computed differently from what they asked for.  ``workers`` feeds the
-    ``"auto"`` policy's parallel escalation (``None`` = one per CPU);
-    ``memory_budget`` (bytes) feeds its out-of-core escalation — when the
-    estimated CSR payload would exceed the budget, ``"auto"`` spills.
+    computed differently from what they asked for.  ``memory_budget``
+    (bytes) feeds the out-of-core escalation — when the estimated CSR
+    payload would exceed the budget, ``"auto"`` spills.
     """
     if backend not in BACKENDS:
         known = _known_backends()
@@ -240,14 +197,9 @@ def resolve_backend(
         and estimated_payload_nbytes(graph) > memory_budget
     ):
         return "external"
-    if (
-        graph.num_edges >= AUTO_PARALLEL_MIN_EDGES
-        and effective_workers(workers) > 1
-    ):
-        return "parallel-vec" if has_numpy else "parallel"
-    if has_numpy and graph.num_edges >= AUTO_VECTOR_MIN_EDGES:
-        return "csr-vec"
-    return "csr" if graph.num_edges >= AUTO_MIN_EDGES else "reference"
+    if graph.num_edges < AUTO_MIN_EDGES:
+        return "reference"
+    return "csr-vec" if has_numpy else "csr"
 
 
 def estimated_payload_nbytes(graph: Graph) -> int:
@@ -269,15 +221,6 @@ def csr_triangle_supports(graph: Graph) -> Dict[Edge, int]:
     """``{canonical edge: triangle support}`` via the CSR kernel."""
     csr = CSRGraph.from_graph(graph)
     return dict(zip(csr.edge_labels(), triangle_supports(csr)))
-
-
-def parallel_triangle_supports(
-    graph: Graph, *, workers: Optional[int] = None
-) -> Dict[Edge, int]:
-    """``{canonical edge: triangle support}`` via the sharded enumeration."""
-    csr = CSRGraph.from_graph(graph)
-    supports, _ = parallel_supports_and_triangles(csr, workers=workers)
-    return dict(zip(csr.edge_labels(), supports))
 
 
 def _decode_decomposition(

@@ -29,12 +29,12 @@ bit-identical arrays — the test suite asserts it.
 (:data:`CSRGraph.ARRAY_FIELDS`) are a *pluggable store*: any
 buffer-protocol sequence of native int64 values works — stdlib
 ``array("q")`` (the default), ``bytes`` snapshots, or ``memoryview``
-slices cast to ``"q"`` over a ``multiprocessing.shared_memory`` segment
-(see :mod:`repro.fast.shm`).  The kernels only ever index, slice, bisect,
+slices cast to ``"q"`` over an mmap'd spill column (see
+:mod:`repro.fast.external`).  The kernels only ever index, slice, bisect,
 ``tolist()`` or ``np.frombuffer`` these fields, all of which every store
 supports, so :meth:`CSRGraph.from_arrays` can rehydrate a snapshot from
-any of them — including zero-copy views into shared memory, which is how
-``parallel`` workers attach to the parent's CSR without unpickling it.
+any of them — including zero-copy views over mmap'd spill files, which is
+how the ``external`` backend runs the unchanged kernels on disk.
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ class CSRGraph:
 
         ``arrays`` maps each :data:`ARRAY_FIELDS` name to an int64 store:
         ``bytes`` are copied into stdlib arrays, while ``array``/
-        ``memoryview`` stores are adopted as-is — a ``memoryview`` over a
-        shared-memory segment makes the snapshot a zero-copy view whose
-        lifetime is the segment's (see :mod:`repro.fast.shm`).  ``labels``
+        ``memoryview`` stores are adopted as-is — a ``memoryview`` over an
+        mmap'd column makes the snapshot a zero-copy view whose lifetime
+        is the map's (see :mod:`repro.fast.external`).  ``labels``
         is optional: kernels never touch original labels, so transports
         omit them; label-decoding methods then require id-space use only.
         """

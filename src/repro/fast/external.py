@@ -1,7 +1,6 @@
 """Out-of-core partitioned CSR: the ``external`` backend (kernel layer L1-L3).
 
-Every other backend — including the shared-memory ``parallel`` family —
-materializes the full adjacency *and* the full triangle list in RAM, which
+Every other backend materializes the full adjacency *and* the full triangle list in RAM, which
 caps the reproduction far below the "graphs that don't fit in memory"
 regime.  This module keeps both on disk:
 
@@ -9,17 +8,16 @@ regime.  This module keeps both on disk:
   kernel column (:data:`~repro.fast.csr.CSRGraph.ARRAY_FIELDS`) under a
   spill directory, described by a ``manifest.json`` carrying the format
   version, per-column byte counts and CRC32s, and the partition table — a
-  list of vertex ranges ``[lo, hi)`` cut on the arc-count prefix (the
-  :func:`~repro.fast.parallel.shard_ranges` policy) with a CRC32 over each
+  list of vertex ranges ``[lo, hi)`` cut on the arc-count prefix
+  (:func:`_partition_ranges`) with a CRC32 over each
   partition's slice of the ``indices`` column.  The manifest is written
   last via tmp+rename, so a crashed build can never leave a directory that
   passes :meth:`ExternalCSR.open` validation.
 * **mmap'd store seam**: :meth:`ExternalCSR.open` maps each column and
   rehydrates a :class:`~repro.fast.csr.CSRGraph` through
   :meth:`~repro.fast.csr.CSRGraph.from_arrays` with ``memoryview`` stores
-  over the maps — the same L1 pluggable-store contract the shared-memory
-  transport uses, so the enumeration kernels run unchanged on disk-backed
-  columns.
+  over the maps — the L1 pluggable-store contract, so the enumeration
+  kernels run unchanged on disk-backed columns.
 * **Partitioned enumeration**: each partition ``[lo, hi)`` is enumerated
   with the unchanged :func:`~repro.fast.kernels.supports_and_triangles`
   sharding contract (every triangle is discovered exactly once, from its
@@ -55,7 +53,7 @@ regime.  This module keeps both on disk:
   canonical ``csr-vec`` order (ascending level, sub-round, edge id) on
   every graph.  The conformance matrix asserts both.
 
-Lifetime rules (mirroring :mod:`repro.fast.shm`): triangle spill files
+Lifetime rules: triangle spill files
 live in a ``scratch-<pid>-<token>`` subdirectory removed in a ``finally``
 on every exit path, and :func:`cleanup_stale` — run on every build and
 open — removes scratch directories whose recorded pid is dead, so a
@@ -238,10 +236,9 @@ def _partition_ranges(
 ) -> List[Tuple[int, int]]:
     """Vertex-range partitions cut on the arc-count prefix.
 
-    Same policy as :func:`repro.fast.parallel.shard_ranges` (balanced arc
-    scans, deduplicated degenerate cuts, exact tiling of ``[0, n)``),
-    reimplemented over a bare ``indptr`` sequence so the spill builder can
-    run before any :class:`CSRGraph` exists.
+    Balanced arc scans, deduplicated degenerate cuts, exact tiling of
+    ``[0, n)``; works over a bare ``indptr`` sequence so the spill builder
+    can run before any :class:`CSRGraph` exists.
     """
     n = num_vertices
     if n == 0 or parts <= 1:

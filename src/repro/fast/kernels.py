@@ -45,7 +45,7 @@ def _forward_wedges(csr: CSRGraph, lo: int = 0, hi: Optional[int] = None):
     key order.
 
     ``lo``/``hi`` restrict the *first* vertex of each wedge to the id range
-    ``[lo, hi)`` — the sharding primitive behind the ``parallel`` backend.
+    ``[lo, hi)`` — the partitioning primitive behind the ``external`` backend.
     Because every triangle is discovered exactly once, from its
     lowest-ranked vertex, concatenating the outputs of disjoint covering
     ranges in ascending range order reproduces the full-graph output
@@ -140,11 +140,11 @@ def supports_and_triangles(
 
     ``lo``/``hi`` restrict the scan to triangles whose lowest-ranked vertex
     falls in the id range ``[lo, hi)`` (default: the whole graph).  The
-    returned ``supports`` list always has length ``m``: a shard may touch
-    edges owned by other shards, and summing the per-shard lists
-    element-wise plus concatenating the per-shard ``tri_edges`` in ascending
-    range order reproduces the full-graph call exactly — the contract the
-    ``parallel`` backend's merge step relies on.
+    returned ``supports`` list always has length ``m``: a partition may
+    touch edges owned by other partitions, and summing the per-partition
+    lists element-wise plus concatenating the per-partition ``tri_edges``
+    in ascending range order reproduces the full-graph call exactly — the
+    contract the ``external`` backend's partitioned enumeration relies on.
 
     Both implementations (vectorized numpy join, pure merge loop) emit the
     same triangles in the same order, so downstream results are identical

@@ -3,7 +3,9 @@
 The on-disk formats are deliberately plain so files interoperate with SNAP /
 networkx tooling:
 
-* **edge list** — one ``u v`` pair per line, ``#`` comments allowed;
+* **edge list** — one ``u v`` pair per line, ``#`` comments allowed; a
+  line holding a tab splits on tabs only, so labels containing spaces
+  (author names) survive a round trip;
 * **snapshot stream** — a directory (or single file) of edge lists, one per
   timestamp, plus :func:`write_diff` / :func:`read_diff` for the
   added/removed deltas the dynamic algorithms consume.
@@ -16,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, List, Tuple, Union
 
 from ..exceptions import DatasetError, PersistenceError
-from .edge import Edge, canonical_edge
+from .edge import Edge, Vertex, canonical_edge
 from .undirected import Graph
 
 PathLike = Union[str, os.PathLike]
@@ -30,11 +32,45 @@ def _parse_vertex(token: str) -> object:
         return token
 
 
+def _split_fields(line: str) -> List[str]:
+    """Fields of one stripped edge-list line.
+
+    A line containing a tab is tab-separated (what :func:`write_edge_list`
+    emits when a label contains whitespace, and what SNAP files use);
+    any other line splits on runs of whitespace.
+    """
+    if "\t" in line:
+        return [field.strip() for field in line.split("\t")]
+    return line.split()
+
+
+def _format_pair(u: Vertex, v: Vertex) -> str:
+    """``u`` and ``v`` as one edge-list line, the inverse of :func:`_split_fields`.
+
+    Labels are joined by a space unless one contains whitespace, then by a
+    tab.  A label even the tab form cannot carry (empty, containing a tab
+    or line break, or with leading/trailing whitespace) raises
+    :class:`~repro.exceptions.DatasetError` rather than being written as a
+    line that reloads as a different edge.
+    """
+    labels = (str(u), str(v))
+    for label in labels:
+        unsafe = any(c in label for c in "\t\n\r")
+        if unsafe or not label or label != label.strip():
+            raise DatasetError(
+                f"vertex label {label!r} cannot be written to an edge list"
+            )
+    separator = "\t" if any(len(label.split()) > 1 for label in labels) else " "
+    return separator.join(labels)
+
+
 def read_edge_list(path: PathLike) -> Graph:
     """Load a graph from an edge-list file.
 
-    Blank lines and lines starting with ``#`` or ``%`` are skipped.  Tokens
-    that parse as integers become int vertices; everything else stays a
+    Blank lines and lines starting with ``#`` or ``%`` are skipped.  A line
+    containing a tab splits on tabs, any other line on whitespace; fields
+    after the second (e.g. a weight column) are ignored.  Tokens that
+    parse as integers become int vertices; everything else stays a
     string.  Duplicate edges and self-loops in the file are ignored (the
     library works on simple graphs).
     """
@@ -44,8 +80,8 @@ def read_edge_list(path: PathLike) -> Graph:
             stripped = line.strip()
             if not stripped or stripped.startswith(("#", "%")):
                 continue
-            parts = stripped.split()
-            if len(parts) < 2:
+            parts = _split_fields(stripped)
+            if len(parts) < 2 or not parts[0] or not parts[1]:
                 raise DatasetError(
                     f"{path}:{line_number}: expected 'u v', got {stripped!r}"
                 )
@@ -57,14 +93,18 @@ def read_edge_list(path: PathLike) -> Graph:
 
 
 def write_edge_list(graph: Graph, path: PathLike, *, header: str = "") -> None:
-    """Write ``graph`` as an edge-list file (canonical edge per line)."""
+    """Write ``graph`` as an edge-list file (canonical edge per line).
+
+    Labels containing whitespace are written tab-separated, so
+    :func:`read_edge_list` reloads them intact.
+    """
     with open(path, "w", encoding="utf-8") as handle:
         if header:
             for line in header.splitlines():
                 handle.write(f"# {line}\n")
         handle.write(f"# vertices={graph.num_vertices} edges={graph.num_edges}\n")
         for u, v in sorted(graph.edges(), key=repr):
-            handle.write(f"{u} {v}\n")
+            handle.write(_format_pair(u, v) + "\n")
 
 
 def _is_adjacency_edge_cell(cell: str) -> bool:

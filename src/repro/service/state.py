@@ -222,8 +222,7 @@ class ServiceState:
         Engine backend for the startup decomposition and offline-style
         queries (any registered name or ``"auto"``).
     engine:
-        Bring-your-own engine (tests); built from ``backend``/``workers``
-        otherwise.
+        Bring-your-own engine (tests); built from ``backend`` otherwise.
     """
 
     def __init__(
@@ -231,7 +230,6 @@ class ServiceState:
         graph: Graph,
         *,
         backend: Optional[str] = None,
-        workers: Optional[int] = None,
         engine: Optional[Engine] = None,
         edit_strategy: str = "auto",
     ) -> None:
@@ -241,7 +239,7 @@ class ServiceState:
                 f"got {edit_strategy!r}"
             )
         self.engine = engine if engine is not None else Engine(
-            default_backend=backend or "auto", workers=workers
+            default_backend=backend or "auto"
         )
         self.backend = backend or self.engine.default_backend
         self.edit_strategy = edit_strategy

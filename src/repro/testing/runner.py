@@ -209,8 +209,8 @@ def run_script(
     """Play ``script`` from an empty graph, cross-checking as documented.
 
     ``oracle_options`` are keyword arguments forwarded to
-    :class:`CheckpointOracles` (e.g. ``parallel_workers`` /
-    ``parallel_inprocess`` for the opt-in ``"parallel"`` oracle).
+    :class:`CheckpointOracles` (e.g. ``external_partitions`` for the
+    opt-in ``"external"`` oracle).
 
     ``apply_mode="batch"`` drives the maintainer in whole-batch mode
     instead: the script is cut into chunks of ``batch_ops`` ops, each

@@ -9,12 +9,15 @@ with numpy available and with the pure-``array`` fallback forced.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.fast.csr as csr_module
 from repro.baselines import networkx_kappa
 from repro.core import triangle_kcore_decomposition
+from repro.engine import Engine
 from repro.fast import AUTO_MIN_EDGES, resolve_backend
 from repro.graph import Graph, barabasi_albert, complete_graph, erdos_renyi
 from repro.graph.triangles import count_triangles, triangle_supports
@@ -188,7 +191,56 @@ class TestBackendResolution:
         assert resolve_backend("auto", small) == "reference"
         big = barabasi_albert(AUTO_MIN_EDGES // 2 + 10, 2, seed=0)
         assert big.num_edges >= AUTO_MIN_EDGES
-        assert resolve_backend("auto", big) == "csr"
+        expected = "csr-vec" if csr_module.np is not None else "csr"
+        assert resolve_backend("auto", big) == expected
+
+    @pytest.mark.parametrize(
+        "edges, with_numpy, without_numpy",
+        [
+            (AUTO_MIN_EDGES - 1, "reference", "reference"),
+            (AUTO_MIN_EDGES, "csr-vec", "csr"),
+            (4 * AUTO_MIN_EDGES, "csr-vec", "csr"),
+        ],
+    )
+    def test_auto_tiers_around_min_edges(
+        self, numpy_mode, edges, with_numpy, without_numpy
+    ):
+        star = Graph(edges=[(0, leaf) for leaf in range(1, edges + 1)])
+        assert star.num_edges == edges
+        expected = with_numpy if numpy_mode == "numpy" else without_numpy
+        assert resolve_backend("auto", star) == expected
+        assert Engine().resolve(None, star) == expected
+
+    @pytest.mark.parametrize("backend", ["parallel", "parallel-vec"])
+    def test_retired_parallel_backends_rejected(self, backend):
+        graph = complete_graph(4)
+        calls = (
+            lambda: Engine().decompose(graph, backend=backend),
+            lambda: resolve_backend(backend, graph),
+            lambda: count_triangles(graph, backend=backend),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown backend") as info:
+                call()
+            for known in ("reference", "csr", "csr-vec", "external"):
+                assert repr(known) in str(info.value)
+
+    def test_auto_on_a_large_graph_starts_no_process(self, monkeypatch):
+        # A fan: hub 0 joined to every other vertex, plus a matching on
+        # the rim, so every rim edge closes a triangle with the hub.
+        rim = 43_700
+        edges = [(0, v) for v in range(1, rim + 1)]
+        edges += [(v, v + 1) for v in range(1, rim, 2)]
+        graph = Graph(edges=edges)
+        assert graph.num_edges >= 65_536
+
+        def refuse(process):
+            raise AssertionError(f"auto started a process: {process!r}")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        result = Engine(max_cached_graphs=0).decompose(graph)
+        assert result.max_kappa == 1
+        assert multiprocessing.active_children() == []
 
     def test_explicit_backends_respected(self):
         graph = Graph(edges=[(0, 1)])

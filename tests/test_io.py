@@ -55,6 +55,43 @@ class TestEdgeListRoundtrip:
         with pytest.raises(DatasetError):
             read_edge_list(path)
 
+    def test_dblp_stand_in_round_trips(self, tmp_path):
+        # Author-name labels contain spaces ("Author 1899"); they must not
+        # reload as ("Author", 1899)-style fragments.
+        from repro import datasets
+
+        graph = datasets.load("dblp").graph
+        path = tmp_path / "dblp.edges"
+        write_edge_list(graph, path)
+        assert read_edge_list(path) == graph
+
+    def test_whitespace_labels_written_tab_separated(self, tmp_path):
+        g = Graph(edges=[("Ada Lovelace", "Alan  Turing"), ("Ada Lovelace", 3)])
+        path = tmp_path / "g.edges"
+        write_edge_list(g, path)
+        lines = [ln for ln in path.read_text().splitlines() if ln[0] != "#"]
+        assert all("\t" in line for line in lines)
+        assert read_edge_list(path) == g
+
+    def test_plain_labels_stay_space_separated(self, tmp_path):
+        g = Graph(edges=[(1, 2), ("alice", "bob")])
+        path = tmp_path / "g.edges"
+        write_edge_list(g, path)
+        assert "\t" not in path.read_text()
+        assert read_edge_list(path) == g
+
+    def test_snap_and_weighted_files_parse_unchanged(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("# FromNodeId\tToNodeId\n0\t1\n1\t2\n3 4 0.5\n")
+        g = read_edge_list(path)
+        assert set(g.edges()) == {(0, 1), (1, 2), (3, 4)}
+
+    @pytest.mark.parametrize("label", ["tab\there", "line\nbreak", " padded", ""])
+    def test_unwritable_label_raises(self, tmp_path, label):
+        g = Graph(edges=[(label, "x")])
+        with pytest.raises(DatasetError, match="cannot be written"):
+            write_edge_list(g, tmp_path / "g.edges")
+
 
 class TestDiffs:
     def test_roundtrip(self, tmp_path):

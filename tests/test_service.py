@@ -115,7 +115,7 @@ class TestReadConformance:
 
     def test_stats_has_engine_and_service_sections(self, client):
         stats = client.stats()
-        assert stats["schema"] == "repro.engine.stats/6"
+        assert stats["schema"] == "repro.engine.stats/7"
         service = stats["service"]
         assert service["schema"] == "repro.service/1"
         assert service["graph"]["edges"] == make_fixture_graph().num_edges

@@ -2,7 +2,7 @@
 
 Contract: with ``--stats``, a subcommand's **last stdout line** is exactly
 one JSON object validating against the engine stats schema
-(``repro.engine.stats/6``) — everything human-readable goes above it, so
+(``repro.engine.stats/7``) — everything human-readable goes above it, so
 scripts can always ``tail -1 | jq``.  The ``serve`` subcommand honours the
 same contract by dumping stats after its SIGTERM drain, and ``shell`` by
 dumping stats after its last command.
@@ -26,13 +26,12 @@ from repro.graph import Graph, write_edge_list
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Required top-level keys of the stats /6 schema.
+#: Required top-level keys of the stats /7 schema.
 STATS_KEYS = {
     "schema",
     "counters",
     "backend_calls",
     "stage_seconds",
-    "parallel",
     "peel",
     "external",
     "batch",
@@ -49,7 +48,7 @@ def assert_stats_contract(stdout: str) -> dict:
     assert lines, "no output produced"
     payload = json.loads(lines[-1])
     assert isinstance(payload, dict)
-    assert payload["schema"] == "repro.engine.stats/6"
+    assert payload["schema"] == "repro.engine.stats/7"
     assert STATS_KEYS <= set(payload), sorted(STATS_KEYS - set(payload))
     # Exactly one JSON object: the line above it (if any) must NOT parse
     # as a JSON object (it is human-readable prose).
@@ -88,30 +87,25 @@ def _stats_argvs(edge_file, tmp_path):
 
 
 class TestSchemaCompat:
-    """Each schema bump is a strict superset of its predecessor.
+    """Schema bumps only add sections, except /7's one removal.
 
-    Mirrors the /1 -> /2 pattern: a reader written against /5 (or /1-/4)
-    keeps working against /6 because no key was renamed or removed — /4
-    only added the "peel" section and the "transport"/"bytes_shipped"
-    members of "parallel", /5 only added the "external" section, and /6
-    only added the "workspace" section.
+    /4 added the "peel" section, /5 the "external" section and /6 the
+    "workspace" section, each a strict superset of its predecessor.  /7
+    removed the "parallel" section together with the process-parallel
+    backends it described; every other /6 key is unchanged, so a /6
+    reader that never read "parallel" keeps working.
     """
 
-    V3_KEYS = {
+    V6_KEYS = {
         "schema", "counters", "backend_calls", "stage_seconds",
-        "parallel", "batch",
+        "parallel", "batch", "peel", "external", "workspace",
     }
-    V4_KEYS = V3_KEYS | {"peel"}
-    V5_KEYS = V4_KEYS | {"external"}
 
-    def test_v6_is_strict_superset_of_v3_through_v5(self):
+    def test_v7_drops_only_the_parallel_section_from_v6(self):
         from repro.engine import EngineStats
 
         payload = EngineStats().as_dict()
-        assert self.V3_KEYS < set(payload)
-        assert self.V4_KEYS < set(payload)
-        assert self.V5_KEYS < set(payload)
-        assert set(payload) - self.V5_KEYS == {"workspace"}
+        assert set(payload) == self.V6_KEYS - {"parallel"}
 
     def test_workspace_section_populates_from_workspace_use(self):
         from repro.engine import Engine
