@@ -24,7 +24,6 @@ from repro.fast import (
     CSRGraph,
     PEEL_EXECUTORS,
     backend_executor,
-    csr_decomposition,
     run_peel,
     supports_and_triangles,
 )
