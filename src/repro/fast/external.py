@@ -193,6 +193,14 @@ def cleanup_stale(spill_dir: str) -> List[str]:
     return removed
 
 
+def _make_spill_dir(spill_dir: str) -> None:
+    """Create ``spill_dir`` if needed (SpillError when the path is unusable)."""
+    try:
+        os.makedirs(spill_dir, exist_ok=True)
+    except OSError as exc:
+        raise SpillError(spill_dir, f"cannot create spill directory: {exc}") from exc
+
+
 def _make_scratch(spill_dir: str) -> str:
     """Create this run's scratch directory (SpillError on a dead spill dir)."""
     token = os.urandom(4).hex()
@@ -401,7 +409,7 @@ class ExternalCSR:
         dropped in favor of the maps.  For graphs too large to ever hold
         in RAM, build the spill with :func:`spill_edges` instead.
         """
-        os.makedirs(spill_dir, exist_ok=True)
+        _make_spill_dir(spill_dir)
         cleanup_stale(spill_dir)
         snap = CSRGraph.from_graph(graph)
         parts = partitions if partitions is not None else _partition_count(
@@ -670,7 +678,7 @@ def spill_edges(
     livejournal stand-in through it under a capped RSS budget.
     """
     np = _csr_mod.np
-    os.makedirs(spill_dir, exist_ok=True)
+    _make_spill_dir(spill_dir)
     cleanup_stale(spill_dir)
     n = num_vertices
     scratch = _make_scratch(spill_dir)

@@ -6,16 +6,18 @@ The matrix axes:
   ``csr``, ``csr-vec``, ``external``, ``dynamic``) plus
   a dummy backend registered at test time through
   ``Engine.register_backend``, proving third-party entrants ride the same
-  contract (new registry entries join the matrix automatically);
+  contract (new registry entries join the matrix automatically), and the
+  in-process ``repro.fast.parallel`` delegates the benchmark tracer
+  imports, registered the same way under their old names;
 * **graphs** — the paper's Figure 2/3 examples, cliques, degenerate
   shapes, seeded random graphs, the final state of every committed fuzz
   corpus bundle, and hypothesis-generated graphs.
 
 Asserted per cell: the kappa map equals the reference backend's exactly;
 processing order is bit-identical within the vector executor family
-(``csr-vec`` == ``external`` at every partition count); triangle counts
-agree across
-counting backends; membership bookkeeping is refused by every backend
+(``csr-vec`` == ``external`` at every partition count) and between each
+``repro.fast.parallel`` delegate and the kernel it wraps; triangle counts
+agree across counting backends; membership bookkeeping is refused by every backend
 that cannot provide it (error contract), and the ``auto`` policy degrades
 instead of erroring.  Each check runs on a fresh cache-disabled engine so
 no backend can serve another's artifact.
@@ -33,11 +35,15 @@ from repro.core import triangle_kcore_decomposition
 from repro.engine import Engine
 from repro.engine.engine import _BUILTIN_BACKENDS, BACKENDS
 from repro.fast import csr_decomposition
+from repro.fast.parallel import parallel_decomposition
 from repro.graph import Graph, complete_graph, erdos_renyi
 from repro.graph.triangles import count_triangles
 from repro.testing import ReproBundle
 
 ALL_BACKENDS = tuple(_BUILTIN_BACKENDS)
+
+#: The ``repro.fast.parallel`` delegates, by the name they register under.
+COMPAT_EXECUTORS = {"parallel": "scalar", "parallel-vec": "vector"}
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_PATHS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -95,13 +101,26 @@ def register_mirror(engine: Engine) -> None:
     engine.register_backend("mirror", mirror)
 
 
+def register_compat(engine: Engine) -> None:
+    """The ``repro.fast.parallel`` delegates as third-party backends."""
+    for name, executor in COMPAT_EXECUTORS.items():
+
+        def compat(eng, graph, store_membership, executor=executor):
+            assert not store_membership
+            return parallel_decomposition(graph, executor=executor)
+
+        engine.register_backend(name, compat)
+
+
 # ------------------------------------------------------------------ #
 # kappa conformance
 # ------------------------------------------------------------------ #
 
 
 class TestKappaConformance:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS + ("mirror",))
+    @pytest.mark.parametrize(
+        "backend", ALL_BACKENDS + ("mirror",) + tuple(COMPAT_EXECUTORS)
+    )
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_fixed_graphs(self, backend, name):
         graph = fixed_graphs()[name]
@@ -109,10 +128,20 @@ class TestKappaConformance:
         engine = fresh_engine()
         if backend == "mirror":
             register_mirror(engine)
+        if backend in COMPAT_EXECUTORS:
+            register_compat(engine)
         result = engine.decompose(graph, backend=backend)
         assert result.kappa == expected.kappa, (
             f"backend {backend!r} disagrees with reference on {name!r}"
         )
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_parallel_bit_identical_to_csr(self, name):
+        graph = fixed_graphs()[name]
+        expected = csr_decomposition(graph)
+        result = parallel_decomposition(graph)
+        assert result.kappa == expected.kappa
+        assert result.processing_order == expected.processing_order
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("path", CORPUS_PATHS, ids=os.path.basename)
@@ -137,6 +166,14 @@ class TestExecutorFamilies:
     the order — while the two families may legitimately order ties
     differently.
     """
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_parallel_vec_bit_identical_to_csr_vec(self, name):
+        graph = fixed_graphs()[name]
+        expected = csr_decomposition(graph, executor="vector")
+        result = parallel_decomposition(graph, executor="vector")
+        assert result.kappa == expected.kappa
+        assert result.processing_order == expected.processing_order
 
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_external_bit_identical_to_csr_vec(self, name):

@@ -377,34 +377,6 @@ class TestStats:
 # ---------------------------------------------------------------------- #
 
 
-class TestMapDecompose:
-    def test_results_in_input_order(self):
-        engine = Engine()
-        g1, g2 = complete_graph(4), complete_graph(5)
-        r1, r2 = engine.map_decompose([g1, g2], backend="csr")
-        assert r1.max_kappa == 2
-        assert r2.max_kappa == 3
-
-    def test_duplicates_served_from_cache(self):
-        engine = Engine()
-        graph = complete_graph(6)
-        results = engine.map_decompose([graph, graph, graph])
-        assert results[0] is results[1] is results[2]
-        assert engine.stats.cache_hits == 2
-        assert engine.stats.counters["batch_calls"] == 1
-        assert engine.stats.counters["batch_graphs"] == 3
-
-    def test_mutation_between_batches_invalidates(self):
-        engine = Engine()
-        graph = complete_graph(4)
-        (first,) = engine.map_decompose([graph])
-        graph.add_edge(0, 99)
-        graph.add_edge(1, 99)
-        (second,) = engine.map_decompose([graph])
-        assert second is not first
-        assert second.kappa_of(0, 99) == 1
-
-
 class TestDefaultEngine:
     def teardown_method(self):
         set_default_engine(None)

@@ -341,11 +341,6 @@ class TestSpillFaults:
     def test_spill_error_is_a_backend_error(self):
         assert issubclass(SpillError, BackendError)
 
-    def test_backend_error_is_repro_error(self):
-        from repro.exceptions import ReproError
-
-        assert issubclass(BackendError, ReproError)
-
     def test_missing_manifest(self, tmp_path):
         spill = self.build(tmp_path)
         manifest = os.path.join(spill, MANIFEST_NAME)

@@ -24,11 +24,13 @@ from repro.fast import (
     CSRGraph,
     PEEL_EXECUTORS,
     backend_executor,
+    csr_decomposition,
     run_peel,
     supports_and_triangles,
 )
 from repro.fast import csr as csr_mod
 from repro.fast import peelers as peelers_mod
+from repro.fast.parallel import parallel_decomposition
 from repro.graph import Graph, complete_graph, erdos_renyi
 
 
@@ -194,6 +196,16 @@ class TestComposition:
     def test_backend_executor_mapping(self):
         assert backend_executor("csr") == "scalar"
         assert backend_executor("csr-vec") == "vector"
+
+    @pytest.mark.parametrize("seed", [2, 3, 7])
+    def test_parallel_vec_order_identical_to_csr_vec(self, seed):
+        # The repro.fast.parallel delegate composes the same vector
+        # executor, so its order is csr-vec's bit for bit.
+        graph = erdos_renyi(60, 0.15, seed=seed)
+        expected = csr_decomposition(graph, executor="vector")
+        result = parallel_decomposition(graph, executor="vector")
+        assert result.kappa == expected.kappa
+        assert result.processing_order == expected.processing_order
 
 
 # ------------------------------------------------------------------ #
