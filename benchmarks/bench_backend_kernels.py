@@ -23,9 +23,6 @@ graphs from m≈1k to m≈100k edges.  Its gate: on every row, the backend
 from __future__ import annotations
 
 import json
-import os
-import platform
-import subprocess
 import time
 from pathlib import Path
 
@@ -36,7 +33,7 @@ from repro.engine import Engine
 from repro.graph.generators import relaxed_caveman, rmat
 from repro.graph.triangles import count_triangles
 
-from common import SWEEP_DATASETS, format_table, write_report
+from common import SWEEP_DATASETS, format_table, host_info, write_report
 
 REPO_ROOT = Path(__file__).parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_kernels.json"
@@ -87,33 +84,6 @@ def test_bench_backend(benchmark, dataset_loader, name, backend):
         iterations=1,
     )
     assert result.max_kappa >= 0
-
-
-def _host() -> dict:
-    """Where the numbers came from: commit, CPUs, interpreter, numpy."""
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        sha = None
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    return {
-        "git_sha": sha,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "machine": platform.machine(),
-    }
 
 
 def _sweep_graph(family: str, args: tuple):
@@ -248,7 +218,7 @@ def _backend_kernels_report(dataset_loader):
                     "benchmarks/bench_backend_kernels.py -q"
                 ),
                 "smoke": False,
-                "host": _host(),
+                "host": host_info(),
                 "acceptance": {
                     "dataset": LARGEST_DATASET,
                     "min_speedup": MIN_SPEEDUP_LARGEST,

@@ -1,13 +1,17 @@
 """Peel executors — scalar bucket-queue vs vectorized level-synchronous.
 
 Times Algorithm 1's peel stage (L3 only: the ``(supports, tri_edges)``
-input is computed once per dataset and reused by both executors, so the
+input is computed once per graph and reused by both executors, so the
 comparison isolates the executor seam) on the larger Table II sweep
-datasets, asserting identical kappa maps along the way.  Two artifacts:
+datasets and on a triangle-dense relaxed caveman graph, where the peel is
+the largest layer of a decomposition.  Each executor gets exactly what
+``supports_and_triangles`` returns (int64 arrays with numpy), so any
+conversion it needs is inside its time.  Kappa maps are asserted identical
+along the way.  Two artifacts:
 
 * ``benchmarks/results/peel_executors.txt`` — human-readable table;
 * ``BENCH_peel.json`` at the repo root — the machine-readable record CI
-  uploads.
+  uploads, with a ``host`` block and a ``smoke`` flag.
 
 Acceptance gate (ISSUE 8): the vector executor must be >= 1.5x faster
 than the scalar one on the largest Table II graph *when numpy is
@@ -29,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import SWEEP_DATASETS, format_table, write_report
+from common import SWEEP_DATASETS, format_table, host_info, write_report
 
 REPO_ROOT = Path(__file__).parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_peel.json"
@@ -40,6 +44,10 @@ GATE_DATASET = SWEEP_DATASETS[-1]
 #: frontier is wide enough to amortize the array passes, so the sweep
 #: includes one graph below the crossover (dblp) on purpose.
 BENCH_DATASETS = [SWEEP_DATASETS[3], SWEEP_DATASETS[-2], GATE_DATASET]
+#: The triangle-dense row: 400 caves of 20 (m≈76k, T≈330k), the shape of
+#: the repo benchmark's decompose-cave graph.
+CAVEMAN_ARGS = (400, 20, 0.1)
+CAVEMAN_NAME = "caveman(400,20,0.1)"
 MIN_SPEEDUP = 1.5
 REPEATS = 3
 
@@ -54,27 +62,34 @@ def _best_of(fn, repeats):
     return result, best
 
 
-def _peel_report(get_dataset, repeats=REPEATS):
+def _graphs(get_dataset):
+    from repro.graph.generators import relaxed_caveman
+
+    for name in BENCH_DATASETS:
+        yield name, get_dataset(name).graph
+    yield CAVEMAN_NAME, relaxed_caveman(*CAVEMAN_ARGS, seed=1)
+
+
+def _peel_report(get_dataset, repeats=REPEATS, smoke=False):
     from repro.fast import CSRGraph, run_peel, supports_and_triangles
     from repro.fast import csr as csr_mod
 
     has_numpy = csr_mod.np is not None
     rows = []
     json_rows = []
-    for name in BENCH_DATASETS:
-        graph = get_dataset(name).graph
+    for name, graph in _graphs(get_dataset):
         csr = CSRGraph.from_graph(graph)
         supports, tri_edges = supports_and_triangles(csr)
         m = csr.num_edges
 
         scalar, scalar_seconds = _best_of(
-            lambda: run_peel(m, list(supports), tri_edges, executor="scalar"),
+            lambda: run_peel(m, supports, tri_edges, executor="scalar"),
             repeats,
         )
         stats: dict = {}
         vector, vector_seconds = _best_of(
             lambda: run_peel(
-                m, list(supports), tri_edges, executor="vector", stats=stats
+                m, supports, tri_edges, executor="vector", stats=stats
             ),
             repeats,
         )
@@ -85,6 +100,7 @@ def _peel_report(get_dataset, repeats=REPEATS):
                 "dataset": name,
                 "vertices": graph.num_vertices,
                 "edges": m,
+                "triangles": len(tri_edges) // 3,
                 "scalar_seconds": round(scalar_seconds, 6),
                 "vector_seconds": round(vector_seconds, 6),
                 "speedup": round(speedup, 2),
@@ -131,6 +147,8 @@ def _peel_report(get_dataset, repeats=REPEATS):
                     f"(best-of-{repeats} wall clock, seconds)"
                 ),
                 "command": "PYTHONPATH=src python benchmarks/bench_peel.py",
+                "smoke": smoke,
+                "host": host_info(),
                 "acceptance": {
                     "dataset": GATE_DATASET,
                     "min_speedup": MIN_SPEEDUP,
@@ -179,7 +197,9 @@ def main(argv=None):
             cache[name] = load(name)
         return cache[name]
 
-    measured = _peel_report(get, repeats=1 if args.smoke else REPEATS)
+    measured = _peel_report(
+        get, repeats=1 if args.smoke else REPEATS, smoke=args.smoke
+    )
     print(f"\nBENCH_peel.json written; gate speedup {measured:.2f}x")
     return 0
 

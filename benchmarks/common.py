@@ -8,6 +8,9 @@ reference concrete numbers.
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 from typing import Callable, Iterable, List, Sequence, Tuple
@@ -33,6 +36,33 @@ CSV_CAPABLE = {"synthetic", "stocks", "ppi", "dblp"}
 DNGRAPH_CAPABLE = {"synthetic", "stocks", "ppi", "dblp", "astro", "epinions"}
 #: The five largest, as in Table III.
 UPDATE_DATASETS = ["astro", "epinions", "amazon", "wiki", "flickr", "livejournal"]
+
+
+def host_info() -> dict:
+    """Where the numbers came from: commit, CPUs, interpreter, numpy."""
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).parent.parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {
+        "git_sha": sha,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "machine": platform.machine(),
+    }
 
 
 def write_report(name: str, lines: Iterable[str]) -> Path:

@@ -22,6 +22,11 @@ layering" has the full composition table):
   public dict-based API and the ``backend`` policy composing
   substrate × enumeration × executor for every entry point.
 
+Between L2 and L3 the data stays in int64 ``ndarray`` objects when numpy
+is present (lists without it); the peel hands lists of Python ``int``
+back to L4, so every public value — kappa, processing order, counters,
+supports — is a plain ``int`` in both modes.
+
 Backends
 --------
 
@@ -77,7 +82,7 @@ from .external import (
     spill_edges,
 )
 from .kernels import peel, supports_and_triangles, triangle_count, triangle_supports
-from .peelers import PEEL_EXECUTORS, run_peel
+from .peelers import PEEL_EXECUTORS, IntSeq, _total, run_peel
 
 __all__ = [
     "AUTO_EXTERNAL_MIN_EDGES",
@@ -225,7 +230,7 @@ def csr_triangle_supports(graph: Graph) -> Dict[Edge, int]:
 
 def _decode_decomposition(
     csr: CSRGraph,
-    precomputed: Tuple[List[int], List[int]],
+    precomputed: Tuple[IntSeq, IntSeq],
     counters: Optional[Dict[str, int]] = None,
     *,
     executor: str = "scalar",
@@ -251,11 +256,11 @@ def _decode_decomposition(
     kappa: Dict[Edge, int] = dict(zip(edges, kappa_by_eid))
     processing_order: List[Edge] = list(map(edges.__getitem__, order_by_eid))
     if counters is not None:
-        support_sum = int(sum(precomputed[0]))
+        support_sum = _total(precomputed[0])
         counters["triangles_enumerated"] = support_sum // 3
         counters["support_sum"] = support_sum
         counters["edges_peeled"] = len(kappa)
-        counters["bucket_decrements"] = support_sum - int(sum(kappa_by_eid))
+        counters["bucket_decrements"] = support_sum - sum(kappa_by_eid)
     return TriangleKCoreResult(kappa=kappa, processing_order=processing_order)
 
 

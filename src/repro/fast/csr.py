@@ -22,8 +22,9 @@ can scan without any hashing or tuple allocation:
 
 Arrays are stored with the stdlib :mod:`array` module (typecode ``q``) so
 the core package keeps zero runtime dependencies; when numpy is importable
-the construction sort is delegated to it.  Both construction paths produce
-bit-identical arrays — the test suite asserts it.
+the whole construction runs as array passes (relabel, label lookup, arc
+sort, edge ids).  Both construction paths produce bit-identical arrays,
+labels and index — the test suite asserts it.
 
 **Array store contract (kernel layer L1).**  The five kernel arrays
 (:data:`CSRGraph.ARRAY_FIELDS`) are a *pluggable store*: any
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import chain
 from typing import Dict, List, Sequence
 
 from ..graph.edge import Edge, Vertex, canonical_edge
@@ -50,6 +52,11 @@ try:  # optional accelerator; the pure-array path is always available
     import numpy as np  # type: ignore[import-not-found]
 except ImportError:  # pragma: no cover - exercised via monkeypatching in tests
     np = None  # type: ignore[assignment]
+
+#: Int labels map to ids through an array table when their span is under
+#: this many slots per vertex; wider spans use the label -> id dict.
+_TABLE_SPAN_FACTOR = 4
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def _degree_order(graph: Graph) -> List[Vertex]:
@@ -142,15 +149,11 @@ class CSRGraph:
     def from_graph(cls, graph: Graph) -> "CSRGraph":
         """Freeze ``graph`` into a CSR snapshot (O(n + m log m))."""
         snap = cls()
-        labels = _degree_order(graph)
-        index = {label: i for i, label in enumerate(labels)}
-        snap.labels = labels
-        snap.index = index
-        snap.num_vertices = len(labels)
         snap.num_edges = graph.num_edges
         if np is not None:
             snap._build_numpy(graph)
         else:
+            snap._set_labels(_degree_order(graph))
             snap._build_pure(graph)
         return snap
 
@@ -177,8 +180,7 @@ class CSRGraph:
         snap.num_vertices = num_vertices
         snap.num_edges = num_edges
         if labels is not None:
-            snap.labels = labels
-            snap.index = {label: i for i, label in enumerate(labels)}
+            snap._set_labels(labels)
         for field in cls.ARRAY_FIELDS:
             store = arrays[field]
             if isinstance(store, (bytes, bytearray)):
@@ -204,6 +206,12 @@ class CSRGraph:
             else:
                 total += len(store) * store.itemsize
         return total
+
+    def _set_labels(self, labels: List[Vertex]) -> None:
+        """Adopt ``labels`` as the id -> label table and build its inverse."""
+        self.labels = labels
+        self.index = dict(zip(labels, range(len(labels))))
+        self.num_vertices = len(labels)
 
     def _build_pure(self, graph: Graph) -> None:
         index = self.index
@@ -259,23 +267,21 @@ class CSRGraph:
 
     def _build_numpy(self, graph: Graph) -> None:
         assert np is not None
-        index = self.index
-        n = self.num_vertices
         m = self.num_edges
-        # Iterating labels in id order makes the src column pre-sorted.
-        degree_list: List[int] = []
-        dst_list: List[int] = []
-        extend = dst_list.extend
-        get = index.__getitem__
-        for label in self.labels:
-            neighbors = graph.neighbors(label)
-            degree_list.append(len(neighbors))
-            extend(map(get, neighbors))
-        degrees = np.array(degree_list, dtype=np.int64)
+        inserted = list(graph.vertices())
+        n = len(inserted)
+        blocks = list(map(graph.neighbors, inserted))
+        degrees = np.fromiter(map(len, blocks), dtype=np.int64, count=n)
+        # A stable sort keeps ties in insertion order — the same relabeling
+        # as _degree_order's stable list sort.
+        order = np.argsort(degrees, kind="stable")
+        order_list = order.tolist()
+        self._set_labels(list(map(inserted.__getitem__, order_list)))
+        degrees = degrees[order]
+        # Flattening the blocks in id order makes the src column pre-sorted.
+        blocks = list(map(blocks.__getitem__, order_list))
+        dst = self._neighbor_ids(blocks, 2 * m)
         src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        dst = np.array(dst_list, dtype=np.int64) if dst_list else np.empty(
-            0, dtype=np.int64
-        )
         # Sorting the combined key src*n + dst orders arcs by (src, dst) in
         # ONE flat sort: each src block owns the disjoint key range
         # [src*n, src*n + n), so a global sort cannot interleave blocks —
@@ -289,31 +295,58 @@ class CSRGraph:
 
         # Arcs are (src, dst)-sorted, so the forward subsequence (src < dst)
         # is already in lexicographic (lo, hi) order: a forward arc's rank in
-        # that subsequence IS its edge id, and backward arcs find theirs by
-        # one searchsorted over the (sorted) forward keys.
+        # that subsequence IS its edge id.  The backward arcs, reversed, are
+        # the same m keys in another order, so ranking their reversed keys
+        # with one argsort hands each its edge id.
         forward = src < dst
         backward = ~forward
+        back_src = src[backward]
         arc_eids = np.empty(2 * m, dtype=np.int64)
         arc_eids[forward] = np.arange(m, dtype=np.int64)
-        arc_eids[backward] = np.searchsorted(
-            keys[forward], dst[backward] * n + src[backward]
+        back_eids = np.empty(m, dtype=np.int64)
+        back_eids[np.argsort(dst[backward] * n + back_src)] = np.arange(
+            m, dtype=np.int64
         )
+        arc_eids[backward] = back_eids
         edge_endpoints = np.empty(2 * m, dtype=np.int64)
         edge_endpoints[0::2] = src[forward]
         edge_endpoints[1::2] = dst[forward]
 
         # First forward neighbor per vertex: blocks are sorted, so the
         # backward neighbors (id < u) form each block's prefix — count them.
-        backward_counts = np.bincount(src[backward], minlength=n)
-        forward_start = indptr[:-1] + backward_counts
+        forward_start = indptr[:-1] + np.bincount(back_src, minlength=n)
 
         # array(typecode, bytes) routes through frombytes — a straight
         # memcpy, an order of magnitude cheaper than tolist() round trips.
         self.indptr = array("q", indptr.tobytes())
         self.indices = array("q", dst.tobytes())
-        self.arc_eids = array("q", arc_eids.astype(np.int64).tobytes())
+        self.arc_eids = array("q", arc_eids.tobytes())
         self.forward_start = array("q", forward_start.tobytes())
         self.edge_endpoints = array("q", edge_endpoints.tobytes())
+
+    def _neighbor_ids(self, blocks, count):
+        """Ids of every label in ``blocks``, flattened, as an int64 array.
+
+        When every label is an ``int`` and their span is O(n), one array
+        lookup table maps them; anything else (strings, bools, sparse or
+        huge ints) goes through one C-level pass over :attr:`index`.
+        """
+        labels = self.labels
+        n = len(labels)
+        flat = chain.from_iterable(blocks)
+        if n and set(map(type, labels)) == {int}:
+            lo, hi = min(labels), max(labels)
+            if hi - lo < _TABLE_SPAN_FACTOR * n and lo >= _INT64_MIN and (
+                hi <= _INT64_MAX
+            ):
+                table = np.empty(hi - lo + 1, dtype=np.int64)
+                table[np.array(labels, dtype=np.int64) - lo] = np.arange(
+                    n, dtype=np.int64
+                )
+                return table[np.fromiter(flat, dtype=np.int64, count=count) - lo]
+        return np.fromiter(
+            map(self.index.__getitem__, flat), dtype=np.int64, count=count
+        )
 
     # ------------------------------------------------------------------ #
     # queries / decoding

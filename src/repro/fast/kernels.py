@@ -19,9 +19,12 @@ implementation comes from:
   "processed" set; ``"vector"`` peels level-synchronously with batched
   numpy decrement passes.
 
-All kernels return plain Python ``list`` objects: at these sizes list
-indexing beats ``array``/numpy scalar indexing inside interpreted loops,
-and callers immediately decode into the public dict-based API anyway.
+Array handoff contract.  With numpy, :func:`supports_and_triangles`
+returns int64 ``ndarray`` objects and the peel executors take them as they
+are, so the ``csr-vec`` path stays in arrays from snapshot to peel; without
+numpy the pure loops produce and consume plain ``list`` objects.  Every
+value that leaves the kernel layer is a Python ``int``: :func:`peel`
+returns lists and :func:`triangle_supports` converts once.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import List, Optional, Tuple
 
 from . import csr as _csr_mod
 from .csr import CSRGraph
+from .peelers import IntSeq, run_peel
 
 
 def _forward_wedges(csr: CSRGraph, lo: int = 0, hi: Optional[int] = None):
@@ -120,7 +124,7 @@ def triangle_count(csr: CSRGraph) -> int:
 def triangle_supports(csr: CSRGraph) -> List[int]:
     """Per-edge triangle supports, indexed by edge id (length ``m``)."""
     supports, _ = supports_and_triangles(csr, record_triangles=False)
-    return supports
+    return supports if isinstance(supports, list) else supports.tolist()
 
 
 def supports_and_triangles(
@@ -129,20 +133,21 @@ def supports_and_triangles(
     record_triangles: bool = True,
     lo: int = 0,
     hi: Optional[int] = None,
-) -> Tuple[List[int], List[int]]:
+) -> Tuple[IntSeq, IntSeq]:
     """One forward pass: supports plus (optionally) the flat triangle list.
 
     Returns ``(supports, tri_edges)`` where ``supports[e]`` is the triangle
     support of edge id ``e`` and ``tri_edges`` stores each triangle as three
     consecutive edge ids (empty when ``record_triangles`` is false).  The
     peeling kernel consumes both, so the triangles found while counting
-    supports are never recomputed.
+    supports are never recomputed.  Both are int64 ``ndarray`` objects with
+    numpy and ``list`` objects without it (module docstring).
 
     ``lo``/``hi`` restrict the scan to triangles whose lowest-ranked vertex
     falls in the id range ``[lo, hi)`` (default: the whole graph).  The
-    returned ``supports`` list always has length ``m``: a partition may
-    touch edges owned by other partitions, and summing the per-partition
-    lists element-wise plus concatenating the per-partition ``tri_edges``
+    returned ``supports`` always has length ``m``: a partition may touch
+    edges owned by other partitions, and summing the per-partition
+    supports element-wise plus concatenating the per-partition ``tri_edges``
     in ascending range order reproduces the full-graph call exactly — the
     contract the ``external`` backend's partitioned enumeration relies on.
 
@@ -155,17 +160,14 @@ def supports_and_triangles(
     np = _csr_mod.np
     if np is not None:
         if csr.num_edges == 0:
-            return [], []
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
         e_uv, e_uw, e_vw = _forward_wedges(csr, lo, hi)
-        supports = np.bincount(
-            np.concatenate((e_uv, e_uw, e_vw)), minlength=csr.num_edges
-        )
-        tri_edges: List[int] = (
-            np.stack((e_uv, e_uw, e_vw), axis=1).ravel().tolist()
-            if record_triangles
-            else []
-        )
-        return supports.tolist(), tri_edges
+        tri = np.stack((e_uv, e_uw, e_vw), axis=1).ravel()
+        supports = np.bincount(tri, minlength=csr.num_edges)
+        if not record_triangles:
+            tri = np.empty(0, dtype=np.int64)
+        return supports, tri
 
     indptr = csr.indptr.tolist()
     indices = csr.indices.tolist()
@@ -205,7 +207,7 @@ def supports_and_triangles(
 
 def peel(
     csr: CSRGraph,
-    precomputed: Optional[Tuple[List[int], List[int]]] = None,
+    precomputed: Optional[Tuple[IntSeq, IntSeq]] = None,
     *,
     executor: str = "scalar",
     stats: Optional[dict] = None,
@@ -226,8 +228,6 @@ def peel(
     ``stats`` (when given) receives the executor's
     :data:`~repro.fast.peelers.PeelStats`.
     """
-    from .peelers import run_peel
-
     supports, tri_edges = (
         precomputed
         if precomputed is not None

@@ -8,15 +8,16 @@ drops both ``TARGETS`` rows, and then this file.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from .csr import CSRGraph
 from .kernels import supports_and_triangles
+from .peelers import IntSeq
 
 __all__ = ["parallel_decomposition", "parallel_supports_and_triangles"]
 
 
-def parallel_supports_and_triangles(csr: CSRGraph) -> Tuple[List[int], List[int]]:
+def parallel_supports_and_triangles(csr: CSRGraph) -> Tuple[IntSeq, IntSeq]:
     """``(supports, tri_edges)`` of ``csr``; same as ``supports_and_triangles``."""
     return supports_and_triangles(csr)
 

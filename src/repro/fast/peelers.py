@@ -16,8 +16,9 @@ layers.  Two executors ship:
     *Streaming and Batch Algorithms for Truss Decomposition* (PAPERS.md):
     instead of decrementing one partner at a time, the whole frontier of
     minimum-bound edges is peeled per sub-round and **all** of its support
-    decrements are applied in one batched array pass
-    (``np.subtract.at``).  Edges whose bound already sits at or below the
+    decrements are applied in one batched array pass (one sort of the
+    decremented edge ids, whose runs are the per-edge decrement counts).
+    Edges whose bound already sits at or below the
     current level are provably stable this level (Theorem 1's guard:
     :math:`\\tilde\\kappa` never drops below the frozen level) and are
     skipped without touching them — the ``bound_skips`` counter.  With
@@ -44,11 +45,16 @@ Stats.  When a ``stats`` dict is passed, the executor records
 scalar, which decrements via bucket swaps counted separately) and
 ``bound_skips`` (partner slots proven stable and skipped; 0 for scalar).
 These feed the ``peel`` section of ``repro.engine.stats/7``.
+
+Inputs.  Executors take ``supports`` and ``tri_edges`` as int64 ``ndarray``
+objects (what :func:`~repro.fast.kernels.supports_and_triangles` returns
+with numpy) or as lists of ints, with identical results; neither input is
+mutated.  Outputs are always lists of Python ``int``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import csr as _csr_mod
 
@@ -65,6 +71,22 @@ __all__ = [
 #: Per-run executor telemetry: ``{"executor": str, "levels": int,
 #: "batched_decrements": int, "bound_skips": int}``.
 PeelStats = Dict[str, object]
+
+#: An int64 ``ndarray`` or a ``list`` of ints (module docstring, "Inputs").
+IntSeq = Sequence[int]
+
+
+def _as_list(values: IntSeq) -> List[int]:
+    """``values`` as a list of Python ints (``ndarray``/``array`` or list)."""
+    return values.tolist() if hasattr(values, "tolist") else list(values)
+
+
+def _total(values: IntSeq) -> int:
+    """Sum of ``values`` as a Python int, in one array pass when possible."""
+    np = _csr_mod.np
+    if np is not None and isinstance(values, np.ndarray):
+        return int(values.sum())
+    return sum(values)
 
 
 def _edge_triangle_incidence(
@@ -92,6 +114,46 @@ def _edge_triangle_incidence(
     return tri_start, incidence
 
 
+def _incidence_arrays(tri, m: int):
+    """Edge → triangle incidence of the flat int64 ``tri``, as a CSR.
+
+    Returns ``(tri_start, incidence)``: ``incidence[tri_start[e]:
+    tri_start[e + 1]]`` are the indices of the triangles holding edge ``e``,
+    ascending — the layout a stable argsort of ``tri`` would give.  One
+    plain sort of the packed ``(edge, triangle)`` keys gets it, about twice
+    as fast as that argsort.
+    """
+    np = _csr_mod.np
+    num_tris = tri.size // 3
+    tri_ids = np.repeat(np.arange(num_tris, dtype=np.int64), 3)
+    shift = max(num_tris - 1, 0).bit_length()
+    if max(m - 1, 0).bit_length() + shift < 63:
+        incidence = tri << shift
+        incidence |= tri_ids
+        incidence.sort()
+        incidence &= (1 << shift) - 1
+    else:  # pragma: no cover - keys would overflow int64
+        incidence = tri_ids[np.argsort(tri, kind="stable")]
+    tri_start = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tri, minlength=m), out=tri_start[1:])
+    return tri_start, incidence
+
+
+def _runs(values):
+    """Sort ``values``; return its distinct values and each one's count.
+
+    One sort plus an adjacent-difference pass: the numpy vector peel's
+    per-edge decrement tally, in place of ``np.unique`` plus
+    ``np.subtract.at``.
+    """
+    np = _csr_mod.np
+    values = np.sort(values)
+    if not values.size:
+        return values, values
+    heads = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[heads], np.diff(np.append(heads, values.size))
+
+
 class PeelExecutor:
     """Interface of kernel layer L3: ``(supports, tri_edges) -> (kappa, order)``.
 
@@ -106,8 +168,8 @@ class PeelExecutor:
     def run(
         self,
         m: int,
-        supports: List[int],
-        tri_edges: List[int],
+        supports: IntSeq,
+        tri_edges: IntSeq,
         stats: Optional[PeelStats] = None,
     ) -> Tuple[List[int], List[int]]:
         raise NotImplementedError
@@ -121,17 +183,24 @@ class ScalarPeel(PeelExecutor):
     def run(
         self,
         m: int,
-        supports: List[int],
-        tri_edges: List[int],
+        supports: IntSeq,
+        tri_edges: IntSeq,
         stats: Optional[PeelStats] = None,
     ) -> Tuple[List[int], List[int]]:
         np = _csr_mod.np
-        bounds = list(supports)  # mutated in place: the tilde-kappa array
         if np is not None:
             # Same layouts as the pure counting sorts below, built
             # vectorized: stable argsort groups by value with ids ascending
             # inside a group, exactly the order the ascending fill produces.
-            sup = np.array(supports, dtype=np.int64)
+            sup = np.asarray(supports, dtype=np.int64)
+            tri_np = np.asarray(tri_edges, dtype=np.int64)
+            # The walk below indexes element by element, where lists beat
+            # arrays: convert once on entry.
+            bounds = sup.tolist()  # mutated in place: the tilde-kappa array
+            tri_edges = tri_np.tolist()
+            tri_start, incidence = (
+                a.tolist() for a in _incidence_arrays(tri_np, m)
+            )
             order = np.argsort(sup, kind="stable")
             sorted_edges = order.tolist()
             pos = np.empty(m, dtype=np.int64)
@@ -140,13 +209,10 @@ class ScalarPeel(PeelExecutor):
             bucket_start = np.concatenate(
                 ([0], np.cumsum(np.bincount(sup)))
             ).tolist()
-            tri_np = np.array(tri_edges, dtype=np.int64)
-            incidence = (np.argsort(tri_np, kind="stable") // 3).tolist()
-            tri_start = np.concatenate(
-                ([0], np.cumsum(np.bincount(tri_np, minlength=m)))
-            ).tolist()
         else:
-            tri_start, incidence = _edge_triangle_incidence(supports, tri_edges)
+            bounds = _as_list(supports)  # mutated in place (tilde-kappa)
+            tri_edges = _as_list(tri_edges)
+            tri_start, incidence = _edge_triangle_incidence(bounds, tri_edges)
 
             # Bucket sort by support: sorted_edges holds edge ids grouped by
             # bound, edge_pos[e] is e's slot, bucket_start[s] the live start
@@ -236,8 +302,8 @@ class VectorPeel(PeelExecutor):
     def run(
         self,
         m: int,
-        supports: List[int],
-        tri_edges: List[int],
+        supports: IntSeq,
+        tri_edges: IntSeq,
         stats: Optional[PeelStats] = None,
     ) -> Tuple[List[int], List[int]]:
         if _csr_mod.np is not None:
@@ -247,22 +313,18 @@ class VectorPeel(PeelExecutor):
     def _run_numpy(
         self,
         m: int,
-        supports: List[int],
-        tri_edges: List[int],
+        supports: IntSeq,
+        tri_edges: IntSeq,
         stats: Optional[PeelStats],
     ) -> Tuple[List[int], List[int]]:
         np = _csr_mod.np
-        bounds = np.array(supports, dtype=np.int64)
-        tri = np.array(tri_edges, dtype=np.int64)
+        tri = np.asarray(tri_edges, dtype=np.int64)
+        bounds = np.array(supports, dtype=np.int64)  # a copy: mutated below
         num_tris = tri.size // 3
         tri3 = tri.reshape(num_tris, 3)
-        # Edge → triangle incidence as a CSR over edge ids: a stable argsort
-        # of the flat triangle list groups positions by edge id, and
-        # position // 3 recovers the triangle index.
-        incidence = np.argsort(tri, kind="stable") // 3
-        tri_start = np.concatenate(
-            ([0], np.cumsum(np.bincount(tri, minlength=m)))
-        )
+        tri_start, incidence = _incidence_arrays(tri, m)
+        # Dedupe scratch: stamp[t] holds the slot of the last gathered copy.
+        stamp = np.empty(num_tris, dtype=np.int64)
         processed = np.zeros(m, dtype=bool)
         consumed = np.zeros(num_tris, dtype=bool)
         kappa = np.zeros(m, dtype=np.int64)
@@ -293,22 +355,27 @@ class VectorPeel(PeelExecutor):
                 flat = np.repeat(starts - offsets, counts) + np.arange(
                     total, dtype=np.int64
                 )
-                tris = incidence[flat]
-                tris = tris[~consumed[tris]]
-                tris = np.unique(tris)  # a triangle with 2+ frontier edges
+                tris = incidence.take(flat)
+                tris = tris[~consumed.take(tris)]
+                # A triangle with 2+ frontier edges is gathered once per
+                # edge: keep only the copy whose slot its stamp names.
+                slots = np.arange(tris.size, dtype=np.int64)
+                stamp[tris] = slots
+                tris = tris[stamp.take(tris) == slots]
                 consumed[tris] = True
-                partners = tri3[tris].ravel()
+                # take() gathers whole rows several times faster than
+                # fancy indexing tri3[tris].
+                partners = np.take(tri3, tris, axis=0).ravel()
                 # Theorem 1 guard on the PRE-sub-round bounds: an edge at or
                 # below the level is provably stable — skip it untouched.
-                live = bounds[partners] > level
-                skips += int(partners.size - live.sum())
-                decremented = partners[live]
+                decremented = partners[bounds.take(partners) > level]
+                skips += int(partners.size - decremented.size)
                 batched += int(decremented.size)
-                np.subtract.at(bounds, decremented, 1)
-                touched = np.unique(decremented)
-                dropped = touched[bounds[touched] <= level]
-                bounds[dropped] = level  # clamp: kappa never undershoots
-                frontier = dropped
+                touched, hits = _runs(decremented)
+                lowered = bounds[touched] - hits
+                # Clamp: kappa never undershoots the level.
+                bounds[touched] = np.maximum(lowered, level)
+                frontier = touched[lowered <= level]
         if order_chunks:
             order = np.concatenate(order_chunks).tolist()
         else:
@@ -323,15 +390,16 @@ class VectorPeel(PeelExecutor):
     def _run_pure(
         self,
         m: int,
-        supports: List[int],
-        tri_edges: List[int],
+        supports: IntSeq,
+        tri_edges: IntSeq,
         stats: Optional[PeelStats],
     ) -> Tuple[List[int], List[int]]:
         # Mirrors _run_numpy decision for decision: same frontiers, same
         # sub-rounds, same ascending-id ordering, same counters — the test
         # suite asserts bit-identical output AND stats between the paths.
-        bounds = list(supports)
-        tri_start, incidence = _edge_triangle_incidence(supports, tri_edges)
+        bounds = _as_list(supports)
+        tri_edges = _as_list(tri_edges)
+        tri_start, incidence = _edge_triangle_incidence(bounds, tri_edges)
         num_tris = len(tri_edges) // 3
         processed = bytearray(m)
         consumed = bytearray(num_tris)
@@ -419,8 +487,8 @@ def resolve_peel_executor(name: str) -> PeelExecutor:
 
 def run_peel(
     m: int,
-    supports: List[int],
-    tri_edges: List[int],
+    supports: IntSeq,
+    tri_edges: IntSeq,
     *,
     executor: str = "scalar",
     stats: Optional[PeelStats] = None,
@@ -439,7 +507,7 @@ def run_peel(
             stats["batched_decrements"] = 0
             stats["bound_skips"] = 0
         return [], []
-    if sum(supports) != len(tri_edges):
+    if _total(supports) != len(tri_edges):
         raise ValueError(
             "precomputed supports/triangles disagree; pass the output of "
             "supports_and_triangles(csr, record_triangles=True)"

@@ -9,6 +9,7 @@ with numpy available and with the pure-``array`` fallback forced.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 
 import pytest
@@ -18,7 +19,13 @@ import repro.fast.csr as csr_module
 from repro.baselines import networkx_kappa
 from repro.core import triangle_kcore_decomposition
 from repro.engine import Engine
-from repro.fast import AUTO_MIN_EDGES, resolve_backend
+from repro.fast import (
+    AUTO_MIN_EDGES,
+    CSRGraph,
+    csr_triangle_supports,
+    resolve_backend,
+    triangle_supports as kernel_triangle_supports,
+)
 from repro.graph import Graph, barabasi_albert, complete_graph, erdos_renyi
 from repro.graph.triangles import count_triangles, triangle_supports
 
@@ -168,6 +175,61 @@ class TestNumpyParity:
         assert built_numpy.arc_eids == built_pure.arc_eids
         assert built_numpy.forward_start == built_pure.forward_start
         assert built_numpy.edge_endpoints == built_pure.edge_endpoints
+
+
+class TestPythonIntContract:
+    """Every public value is a Python ``int`` in both numpy modes.
+
+    ``--stats`` and ``GET /kappa`` serialize these values with ``json``,
+    which rejects numpy integer scalars; ``type(v) is int`` also rules out
+    ``bool`` and int subclasses.
+    """
+
+    @staticmethod
+    def assert_ints(values) -> None:
+        values = list(values)
+        assert values
+        bad = [v for v in values if type(v) is not int]
+        assert not bad, f"non-int values: {bad[:5]}"
+
+    @pytest.mark.parametrize("backend", ["csr", "csr-vec"])
+    def test_decomposition_values_are_python_ints(self, numpy_mode, backend):
+        graph = erdos_renyi(40, 0.3, seed=5)
+        counters: dict = {}
+        result = triangle_kcore_decomposition(
+            graph, backend=backend, counters=counters
+        )
+        self.assert_ints(result.kappa.values())
+        self.assert_ints(v for edge in result.processing_order for v in edge)
+        self.assert_ints(counters.values())
+        json.dumps(
+            {
+                "kappa": sorted(result.kappa.items()),
+                "order": result.processing_order,
+                "counters": counters,
+            }
+        )
+
+    @pytest.mark.parametrize("backend", ["csr", "csr-vec"])
+    def test_engine_stats_serialize(self, numpy_mode, backend):
+        engine = Engine(max_cached_graphs=0)
+        engine.decompose(erdos_renyi(40, 0.3, seed=6), backend=backend)
+        payload = engine.stats_dict()
+        section = payload["peel"]
+        self.assert_ints(
+            section[key]
+            for key in ("levels", "batched_decrements", "bound_skips")
+        )
+        json.dumps(payload)
+
+    def test_supports_are_python_ints(self, numpy_mode):
+        graph = erdos_renyi(30, 0.3, seed=7)
+        supports = kernel_triangle_supports(CSRGraph.from_graph(graph))
+        assert type(supports) is list
+        self.assert_ints(supports)
+        by_edge = csr_triangle_supports(graph)
+        self.assert_ints(by_edge.values())
+        json.dumps(sorted(by_edge.items()))
 
 
 class TestBackendResolution:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import repro.fast.csr as csr_module
 from repro.fast import CSRGraph, peel, supports_and_triangles, triangle_supports
-from repro.graph import Graph, complete_graph, erdos_renyi
+from repro.graph import Graph, complete_graph, erdos_renyi, relaxed_caveman
 from repro.graph.triangles import triangle_supports as reference_supports
 
 
@@ -96,7 +98,7 @@ class TestKernels:
         recounted = [0] * csr.num_edges
         for eid in tri_edges:
             recounted[eid] += 1
-        assert recounted == supports
+        assert recounted == list(supports)
 
     def test_peel_on_clique(self, numpy_mode):
         csr = CSRGraph.from_graph(complete_graph(6))
@@ -112,3 +114,62 @@ class TestKernels:
 
     def test_peel_empty_graph(self, numpy_mode):
         assert peel(CSRGraph.from_graph(Graph())) == ([], [])
+
+
+def _relabel(graph: Graph, label, seed: int = 0) -> Graph:
+    """``graph`` with vertex ``v`` renamed ``label(v)``, inserted shuffled.
+
+    The shuffle makes insertion order differ from label order, so the
+    degree-order tie-break (insertion order) is exercised too.
+    """
+    vertices = list(graph.vertices())
+    random.Random(seed).shuffle(vertices)
+    return Graph(
+        edges=[(label(u), label(v)) for u, v in graph.edges()],
+        vertices=[label(v) for v in vertices],
+    )
+
+
+def _build_shapes() -> dict:
+    base = relaxed_caveman(6, 6, 0.2, seed=4)
+    return {
+        "dense_ints": _relabel(base, lambda v: v),
+        "wide_ints": _relabel(base, lambda v: v * 10**12),
+        "negative_ints": _relabel(base, lambda v: -v - 7),
+        "int64_extremes": _relabel(
+            base, lambda v: (1 << 63) - 1 - v if v % 2 else -(1 << 63) + v
+        ),
+        "int64_top": _relabel(base, lambda v: (1 << 63) - 1 - v),
+        "beyond_int64": _relabel(base, lambda v: (1 << 64) + v),
+        "bools": Graph(edges=[(False, True), (True, 2), (False, 2), (2, 3)]),
+        "strings": _relabel(base, lambda v: f"v{v}"),
+        "mixed_str_int": _relabel(base, lambda v: v if v % 3 else f"s{v}"),
+        "isolated_vertices": Graph(
+            edges=[(3, 4), (4, 5), (3, 5), (5, 9)], vertices=range(12)
+        ),
+        "empty": Graph(),
+        "vertices_only": Graph(vertices=["a", "b"]),
+    }
+
+
+class TestBuildIdentity:
+    """The numpy build equals the pure build: arrays, labels and index."""
+
+    @pytest.mark.skipif(csr_module.np is None, reason="needs numpy installed")
+    @pytest.mark.parametrize("shape", sorted(_build_shapes()))
+    def test_numpy_build_equals_pure_build(self, shape, monkeypatch):
+        graph = _build_shapes()[shape]
+        built_numpy = CSRGraph.from_graph(graph)
+        monkeypatch.setattr(csr_module, "np", None)
+        built_pure = CSRGraph.from_graph(graph)
+        assert built_numpy.num_vertices == built_pure.num_vertices
+        assert built_numpy.num_edges == built_pure.num_edges
+        assert built_numpy.labels == built_pure.labels
+        assert [type(v) for v in built_numpy.labels] == [
+            type(v) for v in built_pure.labels
+        ]
+        assert built_numpy.index == built_pure.index
+        for field in CSRGraph.ARRAY_FIELDS:
+            assert list(getattr(built_numpy, field)) == list(
+                getattr(built_pure, field)
+            ), field

@@ -98,7 +98,9 @@ class TestShortCircuitAndDegenerates:
         result = parallel_decomposition(graph)
         assert result.kappa == csr_decomposition(graph).kappa
         csr = CSRGraph.from_graph(graph)
-        assert parallel_supports_and_triangles(csr) == supports_and_triangles(csr)
+        assert list(map(list, parallel_supports_and_triangles(csr))) == list(
+            map(list, supports_and_triangles(csr))
+        )
         assert multiprocessing.active_children() == []
 
     def test_empty_graph(self):
@@ -200,8 +202,10 @@ if HAVE_HYPOTHESIS:
         @settings(max_examples=100, deadline=None)
         def test_merged_supports_match_sequential(self, stubs):
             csr = CSRGraph.from_graph(self._graph_from_stubs(stubs))
-            sequential = supports_and_triangles(csr)
-            assert parallel_supports_and_triangles(csr) == sequential
+            sequential = list(map(list, supports_and_triangles(csr)))
+            assert list(map(list, parallel_supports_and_triangles(csr))) == (
+                sequential
+            )
 
 
 # ------------------------------------------------------------------ #

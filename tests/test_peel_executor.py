@@ -31,7 +31,7 @@ from repro.fast import (
 from repro.fast import csr as csr_mod
 from repro.fast import peelers as peelers_mod
 from repro.fast.parallel import parallel_decomposition
-from repro.graph import Graph, complete_graph, erdos_renyi
+from repro.graph import Graph, complete_graph, erdos_renyi, relaxed_caveman
 
 
 def zoo() -> dict:
@@ -49,6 +49,9 @@ def zoo() -> dict:
         "er_small": erdos_renyi(30, 0.2, seed=0),
         "er_medium": erdos_renyi(80, 0.1, seed=1),
         "er_dense": erdos_renyi(40, 0.4, seed=2),
+        # Triangle-dense: many levels and sub-rounds, triangles shared by
+        # several frontier edges of one sub-round.
+        "caveman": relaxed_caveman(12, 10, 0.15, seed=5),
     }
 
 
@@ -139,6 +142,39 @@ class TestNumpyPureIdentity:
             csr_mod.np = saved
         assert pure_out == numpy_out
         assert pure_stats == numpy_stats
+
+
+class TestInputForms:
+    """Executors take supports_and_triangles' arrays or plain lists alike."""
+
+    @pytest.mark.skipif(csr_mod.np is None, reason="needs numpy installed")
+    @pytest.mark.parametrize("executor", PEEL_EXECUTORS)
+    @pytest.mark.parametrize("name", ZOO_NAMES)
+    def test_arrays_and_lists_give_identical_output(self, name, executor):
+        np = csr_mod.np
+        csr = CSRGraph.from_graph(zoo()[name])
+        supports, tri_edges = supports_and_triangles(csr)
+        assert isinstance(supports, np.ndarray)
+        assert isinstance(tri_edges, np.ndarray)
+        kept = (supports.copy(), tri_edges.copy())
+        array_stats: dict = {}
+        from_arrays = run_peel(
+            csr.num_edges, supports, tri_edges, executor=executor,
+            stats=array_stats,
+        )
+        list_stats: dict = {}
+        from_lists = run_peel(
+            csr.num_edges, supports.tolist(), tri_edges.tolist(),
+            executor=executor, stats=list_stats,
+        )
+        assert from_arrays == from_lists
+        assert array_stats == list_stats
+        # Inputs are read-only to the executors.
+        assert np.array_equal(supports, kept[0])
+        assert np.array_equal(tri_edges, kept[1])
+        for out in from_arrays:
+            assert type(out) is list
+            assert all(type(v) is int for v in out)
 
 
 # ------------------------------------------------------------------ #
