@@ -5,10 +5,8 @@
 #   make test       full unit/property/integration suite
 #   make bench      regenerate every paper table & figure
 #   make bench-engine  engine dispatch/cache/dynamic-timeline gates
-#   make bench-peel    vectorized vs scalar peel executor speedup gate
 #   make bench-batch   batched maintenance vs per-op speedup gate
 #   make bench-service  query-service closed-loop load generator
-#   make bench-replication  read-scaling of 1 vs 2 replica processes
 #   make bench-external  out-of-core decomposition under a capped RSS budget
 #   make figures    alias for bench (outputs land in benchmarks/results/)
 #   make examples   run all runnable examples
@@ -20,7 +18,7 @@
 PYTHON ?= python3
 export PYTHONPATH := src
 
-.PHONY: install test bench bench-engine bench-peel bench-batch bench-service bench-replication bench-external figures examples artifacts clean
+.PHONY: install test bench bench-engine bench-batch bench-service bench-external figures examples artifacts clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -34,17 +32,11 @@ bench:
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_engine_overhead.py -q
 
-bench-peel:
-	$(PYTHON) benchmarks/bench_peel.py
-
 bench-batch:
 	$(PYTHON) benchmarks/bench_batch_update.py
 
 bench-service:
 	$(PYTHON) benchmarks/bench_service.py
-
-bench-replication:
-	$(PYTHON) benchmarks/bench_replication.py
 
 bench-external:
 	$(PYTHON) benchmarks/bench_scaling.py

@@ -13,11 +13,11 @@ written:
 Acceptance gate: the CSR backend must be >= 3x faster than the reference
 on the largest synthetic Table II graph.
 
-The executor sweep (``executor_sweep`` in the JSON) is the evidence for the
-``auto`` tiering in :mod:`repro.fast`: ``Engine.decompose`` with ``csr``
-(scalar peel) vs ``csr-vec`` (vector peel) on R-MAT and relaxed-caveman
-graphs from m≈1k to m≈100k edges.  Its gate: on every row, the backend
-``auto`` resolves to is within 10% of the faster of the two.
+The tier sweep (``tier_sweep`` in the JSON) is the evidence for the
+``auto`` tiering in :mod:`repro.fast` (``AUTO_MIN_EDGES``):
+``Engine.decompose`` with ``reference`` vs ``csr`` on R-MAT and
+relaxed-caveman graphs from m≈28 to m≈100k edges.  Its gate: on every row,
+the backend ``auto`` resolves to is within 10% of the faster of the two.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import pytest
 
 from repro.core import triangle_kcore_decomposition
 from repro.engine import Engine
+from repro.fast import AUTO_MIN_EDGES
 from repro.graph.generators import relaxed_caveman, rmat
 from repro.graph.triangles import count_triangles
 
@@ -43,20 +44,33 @@ LARGEST_DATASET = SWEEP_DATASETS[-1]
 MIN_SPEEDUP_LARGEST = 3.0
 REPEATS = 3
 
-#: ``(family, generator args)`` of the csr vs csr-vec sweep, m≈1k..100k:
+#: ``(family, generator args)`` of the reference vs csr sweep, m≈28..100k:
 #: R-MAT at edge factor 6 (the LiveJournal stand-in's shape) and relaxed
-#: caves of 20 (the clique-rich regime the paper targets).
-EXECUTOR_SWEEP = (
+#: caves of 20 (the clique-rich regime the paper targets), led by single
+#: relaxed cliques of 8 and 12 vertices for the smallest clique-rich rows.
+#: The two m=28 rows sit below ``AUTO_MIN_EDGES``, the rest above it.
+TIER_SWEEP = (
+    ("rmat", (3, 6)),
+    ("rmat", (4, 6)),
+    ("rmat", (6, 6)),
     ("rmat", (8, 6)),
     ("rmat", (10, 6)),
     ("rmat", (12, 6)),
     ("rmat", (14, 6)),
+    ("caveman", (1, 8, 0.1)),
+    ("caveman", (1, 12, 0.1)),
+    ("caveman", (1, 20, 0.1)),
     ("caveman", (6, 20, 0.1)),
     ("caveman", (25, 20, 0.1)),
     ("caveman", (100, 20, 0.1)),
     ("caveman", (500, 20, 0.1)),
 )
-SWEEP_REPEATS = 5
+#: Interleaved rounds per sweep row: at least the minimum, then more
+#: while the row's time budget lasts (small rows need many rounds to
+#: resolve sub-millisecond differences; large rows are decided in three).
+SWEEP_MIN_ROUNDS = 3
+SWEEP_MAX_ROUNDS = 25
+SWEEP_ROW_SECONDS = 1.0
 #: The tiering gate: auto's pick may be at most this much slower than the
 #: faster in-RAM backend on a sweep row.
 AUTO_TOLERANCE = 1.10
@@ -92,20 +106,25 @@ def _sweep_graph(family: str, args: tuple):
     return relaxed_caveman(*args, seed=1)
 
 
-def _executor_sweep():
-    """csr vs csr-vec through ``Engine.decompose``, interleaved per round."""
+def _tier_sweep():
+    """reference vs csr through ``Engine.decompose``, interleaved per round."""
     engine = Engine(max_cached_graphs=0)
     rows = []
-    for family, args in EXECUTOR_SWEEP:
+    for family, args in TIER_SWEEP:
         graph = _sweep_graph(family, args)
-        best = {"csr": float("inf"), "csr-vec": float("inf")}
+        best = {"reference": float("inf"), "csr": float("inf")}
         answers = {}
-        for _ in range(SWEEP_REPEATS):
+        rounds = 0
+        deadline = time.perf_counter() + SWEEP_ROW_SECONDS
+        while rounds < SWEEP_MIN_ROUNDS or (
+            rounds < SWEEP_MAX_ROUNDS and time.perf_counter() < deadline
+        ):
+            rounds += 1
             for backend in best:
                 start = time.perf_counter()
                 answers[backend] = engine.decompose(graph, backend=backend)
                 best[backend] = min(best[backend], time.perf_counter() - start)
-        assert answers["csr"].kappa == answers["csr-vec"].kappa, (
+        assert answers["reference"].kappa == answers["csr"].kappa, (
             f"kappa mismatch on {family}{args}"
         )
         auto = engine.resolve("auto", graph)
@@ -114,9 +133,10 @@ def _executor_sweep():
                 "graph": f"{family}{args}",
                 "vertices": graph.num_vertices,
                 "edges": graph.num_edges,
+                "rounds": rounds,
+                "reference_seconds": round(best["reference"], 6),
                 "csr_seconds": round(best["csr"], 6),
-                "csr_vec_seconds": round(best["csr-vec"], 6),
-                "csr_vec_speedup": round(best["csr"] / best["csr-vec"], 2),
+                "csr_speedup": round(best["reference"] / best["csr"], 2),
                 "auto": auto,
                 "auto_vs_best": round(best[auto] / min(best.values()), 3),
             }
@@ -176,20 +196,22 @@ def _backend_kernels_report(dataset_loader):
         f"gate: csr >= {MIN_SPEEDUP_LARGEST:.0f}x on {LARGEST_DATASET} "
         f"(largest Table II graph); best-of-{REPEATS} wall clocks"
     )
-    sweep = _executor_sweep()
+    sweep = _tier_sweep()
     lines.append("")
     lines.extend(
         format_table(
-            ("graph", "|V|", "|E|", "csr(s)", "csr-vec(s)", "speedup", "auto"),
+            ("graph", "|V|", "|E|", "reference(s)", "csr(s)", "speedup",
+             "auto", "auto/best"),
             [
                 (
                     r["graph"],
                     r["vertices"],
                     r["edges"],
-                    f"{r['csr_seconds']:.4f}",
-                    f"{r['csr_vec_seconds']:.4f}",
-                    f"{r['csr_vec_speedup']:.2f}x",
+                    f"{r['reference_seconds']:.5f}",
+                    f"{r['csr_seconds']:.5f}",
+                    f"{r['csr_speedup']:.2f}x",
                     r["auto"],
+                    f"{r['auto_vs_best']:.3f}",
                 )
                 for r in sweep
             ],
@@ -197,8 +219,9 @@ def _backend_kernels_report(dataset_loader):
     )
     lines.append("")
     lines.append(
-        f"executor sweep: Engine.decompose best-of-{SWEEP_REPEATS}, csr and "
-        f"csr-vec interleaved; gate: auto's pick within "
+        f"tier sweep: Engine.decompose best of {SWEEP_MIN_ROUNDS}.."
+        f"{SWEEP_MAX_ROUNDS} interleaved rounds (~{SWEEP_ROW_SECONDS:g}s "
+        f"per row), reference and csr; gate: auto's pick within "
         f"{AUTO_TOLERANCE:.2f}x of the faster on every row"
     )
     write_report("backend_kernels", lines)
@@ -225,13 +248,14 @@ def _backend_kernels_report(dataset_loader):
                     "measured_speedup": largest["speedup"],
                 },
                 "rows": json_rows,
-                "executor_sweep": {
+                "tier_sweep": {
                     "description": (
-                        "Engine.decompose with csr (scalar peel) vs csr-vec "
-                        f"(vector peel), best-of-{SWEEP_REPEATS} seconds, "
-                        "interleaved; auto is the backend the auto policy "
-                        "resolves to"
+                        "Engine.decompose with reference vs csr, best of "
+                        f"{SWEEP_MIN_ROUNDS}..{SWEEP_MAX_ROUNDS} interleaved "
+                        "rounds (seconds); auto is the backend the auto "
+                        "policy resolves to"
                     ),
+                    "auto_min_edges": AUTO_MIN_EDGES,
                     "auto_tolerance": AUTO_TOLERANCE,
                     "rows": sweep,
                 },
@@ -248,4 +272,4 @@ def _backend_kernels_report(dataset_loader):
         f"{MIN_SPEEDUP_LARGEST:.0f}x"
     )
     slow = [r for r in sweep if r["auto_vs_best"] > AUTO_TOLERANCE]
-    assert not slow, f"auto picks a slower in-RAM backend on {slow}"
+    assert not slow, f"auto picks a slower backend on {slow}"

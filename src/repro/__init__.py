@@ -39,7 +39,7 @@ from .exceptions import (
 )
 from .graph import Graph, SnapshotStream, canonical_edge, canonical_triangle
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "DatasetError",

@@ -97,7 +97,7 @@ def _add_engine_arguments(p: argparse.ArgumentParser) -> None:
         choices=BACKENDS,
         default=None,
         help="decomposition implementation: dict-based reference, "
-        "flat-array CSR kernels (scalar or vectorized peel), out-of-core "
+        "flat-array CSR kernels (csr; csr-vec is an alias), out-of-core "
         "spill (external), incremental dynamic maintenance, or auto "
         "(size-based, default)",
     )
@@ -545,7 +545,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         from .testing import DEFAULT_ORACLES
 
         extra_kwargs["oracles"] = DEFAULT_ORACLES + ("csr-vec",)
-        print("extra oracle: csr-vec (vectorized peel) per checkpoint")
+        print("extra oracle: csr-vec (alias of csr) per checkpoint")
     elif args.backend == "external":
         from .testing import DEFAULT_ORACLES
 
@@ -622,23 +622,25 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 1
 
 
-def _parse_addr(raw: str) -> tuple:
-    """``host:port`` -> ``(host, port)``, with a helpful error."""
-    host, separator, port = raw.rpartition(":")
-    if not separator or not host:
-        raise ValueError(f"expected HOST:PORT, got {raw!r}")
-    return host, int(port)
+#: Prefix of the one structured stdout line ``serve`` prints once bound:
+#: ``ANNOUNCE {"port": N, "role": "standalone"}``.  Wrappers that bind
+#: port 0 parse the port from it.
+ANNOUNCE_PREFIX = "ANNOUNCE "
 
 
-def _announce_line(payload: dict) -> None:
-    """One structured stdout line wrappers parse for bound port(s)."""
-    from .replication.launcher import ANNOUNCE_PREFIX
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from .service import ServiceServer, ServiceState, run_server
 
-    print(ANNOUNCE_PREFIX + json.dumps(payload, sort_keys=True), flush=True)
-
-
-def _serve_common_kwargs(args: argparse.Namespace) -> dict:
-    return dict(
+    engine = _make_engine(args)
+    graph = _load_graph(args.graph)
+    state = ServiceState(
+        graph,
+        backend=args.backend,
+        engine=engine,
+        edit_strategy=args.edit_strategy,
+    )
+    server = ServiceServer(
+        state,
         host=args.host,
         port=args.port,
         max_queue=args.max_queue,
@@ -648,185 +650,15 @@ def _serve_common_kwargs(args: argparse.Namespace) -> dict:
         fence_timeout=args.fence_timeout,
     )
 
-
-def _serve_replica(args: argparse.Namespace) -> int:
-    from .replication import ReplicaServer, ReplicaState
-    from .service import run_server
-
-    if not args.writer_feed:
-        print(
-            "error: --role replica requires --writer-feed HOST:PORT",
-            file=sys.stderr,
-        )
-        return 2
-    writer_host, writer_port = _parse_addr(args.writer_feed)
-    engine = _make_engine(args)
-    state = ReplicaState(backend=args.backend, engine=engine)
-
-    def announce(server: ReplicaServer) -> None:
-        print(
-            f"replica of {writer_host}:{writer_port} "
-            f"on http://{args.host}:{server.port}",
-            flush=True,
-        )
-        _announce_line({"role": "replica", "port": server.port})
-
-    server = ReplicaServer(
-        state,
-        writer_host=writer_host,
-        writer_port=writer_port,
-        **_serve_common_kwargs(args),
-    )
-    run_server(server, announce=announce)
-    print("drained cleanly", flush=True)
-    _emit_stats(args, engine)
-    return 0
-
-
-def _serve_router(args: argparse.Namespace) -> int:
-    from .replication import RouterServer, run_router
-
-    if not args.writer:
-        print(
-            "error: --role router requires --writer HOST:PORT", file=sys.stderr
-        )
-        return 2
-    writer_addr = _parse_addr(args.writer)
-    replica_addrs = [_parse_addr(raw) for raw in (args.replica or [])]
-
-    def announce(router: RouterServer) -> None:
-        print(
-            f"routing to writer {writer_addr[0]}:{writer_addr[1]} and "
-            f"{len(replica_addrs)} replica(s) "
-            f"on http://{args.host}:{router.port}",
-            flush=True,
-        )
-        _announce_line({"role": "router", "port": router.port})
-
-    router = RouterServer(
-        writer_addr=writer_addr,
-        replica_addrs=replica_addrs,
-        host=args.host,
-        port=args.port,
-    )
-    run_router(router, announce=announce)
-    print("drained cleanly", flush=True)
-    return 0
-
-
-def _serve_cluster(args: argparse.Namespace) -> int:
-    """One-shot launcher: writer + N replicas + router in this process."""
-    import signal as signal_module
-    import threading
-
-    from .replication import LocalCluster
-
-    graph = _load_graph(args.graph)
-    cluster = LocalCluster(
-        graph,
-        replicas=args.replicas,
-        backend=args.backend,
-        edit_strategy=args.edit_strategy,
-        router_port=args.port,
-        fence_timeout=args.fence_timeout,
-    )
-    cluster.start()
-    try:
-        print(
-            f"cluster: writer http://127.0.0.1:{cluster.writer_port} "
-            f"(feed {cluster.writer_repl_port}), "
-            f"{args.replicas} replica(s) "
-            f"{[f'127.0.0.1:{p}' for p in cluster.replica_ports]}, "
-            f"router http://127.0.0.1:{cluster.router_port}",
-            flush=True,
-        )
-        _announce_line(
-            {
-                "role": "cluster",
-                "port": cluster.router_port,
-                "router_port": cluster.router_port,
-                "writer_port": cluster.writer_port,
-                "repl_port": cluster.writer_repl_port,
-                "replica_ports": cluster.replica_ports,
-            }
-        )
-        stop = threading.Event()
-        for signum in (signal_module.SIGTERM, signal_module.SIGINT):
-            signal_module.signal(signum, lambda *_args: stop.set())
-        stop.wait()
-    finally:
-        cluster.stop()
-    print("drained cleanly", flush=True)
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import ServiceServer, ServiceState, run_server
-
-    if args.replicas is not None:
-        if args.role != "standalone":
-            print(
-                "error: --replicas launches a whole cluster; it conflicts "
-                "with --role",
-                file=sys.stderr,
-            )
-            return 2
-        if not args.graph:
-            print("error: --replicas requires a graph", file=sys.stderr)
-            return 2
-        return _serve_cluster(args)
-    if args.role == "replica":
-        return _serve_replica(args)
-    if args.role == "router":
-        return _serve_router(args)
-    if not args.graph:
-        print(
-            f"error: --role {args.role} requires a graph argument",
-            file=sys.stderr,
-        )
-        return 2
-
-    engine = _make_engine(args)
-    graph = _load_graph(args.graph)
-    server_kwargs = _serve_common_kwargs(args)
-    if args.role == "writer":
-        from .replication import WriterServer, WriterState
-
-        state = WriterState(
-            graph,
-            backend=args.backend,
-            engine=engine,
-            edit_strategy=args.edit_strategy,
-            log_capacity=args.log_capacity,
-        )
-        server = WriterServer(
-            state,
-            repl_host=args.host,
-            repl_port=args.repl_port,
-            **server_kwargs,
-        )
-    else:
-        state = ServiceState(
-            graph,
-            backend=args.backend,
-            engine=engine,
-            edit_strategy=args.edit_strategy,
-        )
-        server = ServiceServer(state, **server_kwargs)
-
     def announce(running: ServiceServer) -> None:
-        # The port is printed (flush=True) so wrappers binding port 0 can
-        # parse where the kernel actually put us.
         print(
             f"serving {args.graph} (|V|={state.graph.num_vertices} "
             f"|E|={state.graph.num_edges}, backend {state.backend}) "
             f"on http://{args.host}:{running.port}",
             flush=True,
         )
-        payload = {"role": args.role, "port": running.port}
-        if args.role == "writer":
-            payload["repl_port"] = running.repl_port  # type: ignore[attr-defined]
-        _announce_line(payload)
+        payload = {"role": "standalone", "port": running.port}
+        print(ANNOUNCE_PREFIX + json.dumps(payload, sort_keys=True), flush=True)
 
     run_server(server, announce=announce)
     print("drained cleanly", flush=True)
@@ -1067,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("csr-vec", "external"),
         default=None,
         help="cross-check this backend as an extra checkpoint oracle "
-        "(csr-vec: vectorized peel; external: out-of-core partitioned "
+        "(csr-vec: alias of csr; external: out-of-core partitioned "
         "spill)",
     )
     p.add_argument(
@@ -1083,66 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run the long-lived HTTP/JSON query service"
     )
-    p.add_argument(
-        "graph",
-        nargs="?",
-        default=None,
-        help="dataset name or edge-list path (required for standalone/"
-        "writer; replicas fetch state from the writer, routers hold none)",
-    )
-    p.add_argument(
-        "--role",
-        choices=("standalone", "writer", "replica", "router"),
-        default="standalone",
-        help="replication seat (see docs/SERVICE.md): standalone serves "
-        "alone (default); writer additionally streams its commit log on "
-        "--repl-port; replica folds a writer's log and serves reads "
-        "only; router spreads reads over --replica backends and "
-        "forwards writes to --writer",
-    )
-    p.add_argument(
-        "--repl-port",
-        type=int,
-        default=0,
-        dest="repl_port",
-        metavar="PORT",
-        help="writer only: replication feed port (0 picks a free one; "
-        "printed on the ANNOUNCE line)",
-    )
-    p.add_argument(
-        "--log-capacity",
-        type=int,
-        default=4096,
-        dest="log_capacity",
-        metavar="N",
-        help="writer only: commit records retained for replica catch-up "
-        "before forcing a snapshot resync (default: 4096)",
-    )
-    p.add_argument(
-        "--writer-feed",
-        dest="writer_feed",
-        metavar="HOST:PORT",
-        help="replica only: the writer's replication feed address",
-    )
-    p.add_argument(
-        "--writer",
-        metavar="HOST:PORT",
-        help="router only: the writer's HTTP address (edits, /stats)",
-    )
-    p.add_argument(
-        "--replica",
-        action="append",
-        metavar="HOST:PORT",
-        help="router only: one replica HTTP address (repeatable)",
-    )
-    p.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        metavar="N",
-        help="one-shot cluster launcher: start a writer, N replicas and "
-        "a router in this process and serve until SIGTERM",
-    )
+    p.add_argument("graph", help="dataset name or edge-list path")
     p.add_argument(
         "--fence-timeout",
         type=float,

@@ -297,80 +297,6 @@ class DynamicTriangleKCore:
         return max(self._kappa.values(), default=0)
 
     # ------------------------------------------------------------------ #
-    # snapshot / restore serialization
-    # ------------------------------------------------------------------ #
-
-    #: Schema tag for :meth:`snapshot` payloads; bump on layout changes.
-    SNAPSHOT_SCHEMA = "repro.dynamic.snapshot/1"
-
-    def snapshot(self) -> dict:
-        """The full maintained state as one JSON-native document.
-
-        Contains everything :meth:`from_snapshot` needs to reconstruct an
-        equivalent maintainer without recomputing: the vertex set, the
-        per-edge kappa map (which doubles as the edge list — every edge
-        has a kappa entry), and the graph's version fence.  Vertices must
-        be JSON-native (int or str), the same restriction edit scripts
-        impose; anything else raises ``ValueError``.
-        """
-        self._check_not_stale()
-        for vertex in self._graph.vertices():
-            if not isinstance(vertex, (int, str)):
-                raise ValueError(
-                    "snapshot vertices must be JSON-native ints or strs, "
-                    f"got {vertex!r}"
-                )
-        return {
-            "schema": self.SNAPSHOT_SCHEMA,
-            "version": self._graph.version,
-            "vertices": sorted(self._graph.vertices(), key=repr),
-            "kappa": sorted(
-                ([u, v, k] for (u, v), k in self._kappa.items()),
-                key=lambda row: (repr(row[0]), repr(row[1])),
-            ),
-        }
-
-    @classmethod
-    def from_snapshot(cls, obj: dict) -> "DynamicTriangleKCore":
-        """Rebuild a maintainer from a :meth:`snapshot` document.
-
-        The graph is reconstructed edge by edge and then pinned to the
-        snapshot's version fence via
-        :meth:`~repro.graph.undirected.Graph.restore_version`, so the
-        restored maintainer reports exactly the version the snapshot was
-        taken at; the kappa map is adopted verbatim (no decomposition).
-        Malformed documents raise ``ValueError``.
-        """
-        if not isinstance(obj, dict) or obj.get("schema") != cls.SNAPSHOT_SCHEMA:
-            raise ValueError(
-                f"not a {cls.SNAPSHOT_SCHEMA} snapshot: "
-                f"{obj.get('schema') if isinstance(obj, dict) else obj!r}"
-            )
-        version = obj.get("version")
-        if not isinstance(version, int) or version < 0:
-            raise ValueError(f"malformed snapshot version: {version!r}")
-        rows = obj.get("kappa")
-        vertices = obj.get("vertices")
-        if not isinstance(rows, list) or not isinstance(vertices, list):
-            raise ValueError("malformed snapshot: kappa/vertices must be lists")
-        graph = Graph(vertices=vertices)
-        kappa: Dict[Edge, int] = {}
-        for row in rows:
-            if not isinstance(row, (list, tuple)) or len(row) != 3:
-                raise ValueError(f"malformed snapshot kappa row: {row!r}")
-            u, v, k = row
-            if not isinstance(k, int) or k < 0:
-                raise ValueError(f"malformed snapshot kappa value: {row!r}")
-            graph.add_edge(u, v)
-            kappa[canonical_edge(u, v)] = k
-        graph.restore_version(version)
-        return cls(
-            graph,
-            copy=False,
-            seed_result=TriangleKCoreResult(kappa=kappa),
-        )
-
-    # ------------------------------------------------------------------ #
     # write API
     # ------------------------------------------------------------------ #
 

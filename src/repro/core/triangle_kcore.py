@@ -129,9 +129,8 @@ def triangle_kcore_decomposition(
         ``"reference"`` runs the dict-based implementation below;
         ``"csr"`` snapshots the graph into flat integer arrays and runs the
         :mod:`repro.fast` kernels (identical kappa maps, much faster on
-        large graphs); ``"csr-vec"`` swaps in the vectorized peel
-        (identical kappa); ``"auto"`` (default) picks per the policy
-        documented in :mod:`repro.fast`.
+        large graphs; ``"csr-vec"`` is an alias); ``"auto"`` (default)
+        picks per the policy documented in :mod:`repro.fast`.
     counters:
         Optional dict that, when provided, receives work counters at no
         measurable cost (they are derived from state the peel computes
@@ -158,13 +157,11 @@ def triangle_kcore_decomposition(
     >>> result.kappa_of("B", "C")
     2
     """
-    from ..fast import backend_executor, csr_decomposition, resolve_backend
+    from ..fast import csr_decomposition, resolve_backend
 
     resolved = resolve_backend(backend, graph, needs_reference=store_membership)
     if resolved in ("csr", "csr-vec"):
-        return csr_decomposition(
-            graph, counters=counters, executor=backend_executor(resolved)
-        )
+        return csr_decomposition(graph, counters=counters)
 
     # Steps 1-5: initial upper bounds = triangle supports.  A single pass
     # over the canonical triangle enumeration both counts supports and, when

@@ -7,7 +7,7 @@ baselines, the CLI — routes through an :class:`Engine` instead of calling
 The engine owns three concerns those layers previously re-implemented (or
 simply lacked):
 
-**Backend registry.**  ``"reference"``, ``"csr"``, ``"csr-vec"``,
+**Backend registry.**  ``"reference"``, ``"csr"`` (alias ``"csr-vec"``),
 ``"external"`` (out-of-core spill — see :mod:`repro.fast.external`) and
 ``"auto"`` dispatch exactly as before (the composition policy lives in
 :mod:`repro.fast` — see DESIGN.md "Kernel layering"), plus a
@@ -88,41 +88,26 @@ def _decompose_reference(
     return result
 
 
-def _decompose_csr_family(
-    engine: "Engine", graph: Graph, store_membership: bool, backend: str
+def _decompose_csr(
+    engine: "Engine", graph: Graph, store_membership: bool
 ) -> TriangleKCoreResult:
-    """``"csr"``/``"csr-vec"``: in-process kernels + selected peel executor."""
+    """``"csr"`` (and its alias ``"csr-vec"``): in-process CSR kernels."""
     if store_membership:
         raise ValueError(
-            f"backend={backend!r} does not support membership bookkeeping; "
+            "backend='csr' does not support membership bookkeeping; "
             "use backend='reference' (or 'auto')"
         )
-    from ..fast import backend_executor, csr_decomposition
+    from ..fast import csr_decomposition
 
     counters: Dict[str, int] = {}
     peel_stats: Dict[str, object] = {}
-    with engine.stats.stage(f"decompose.{backend}"):
+    with engine.stats.stage("decompose.csr"):
         result = csr_decomposition(
-            graph,
-            counters=counters,
-            executor=backend_executor(backend),
-            peel_stats=peel_stats,
+            graph, counters=counters, peel_stats=peel_stats
         )
     engine.stats.merge_counters(counters)
     engine.stats.record_peel(peel_stats)
     return result
-
-
-def _decompose_csr(
-    engine: "Engine", graph: Graph, store_membership: bool
-) -> TriangleKCoreResult:
-    return _decompose_csr_family(engine, graph, store_membership, "csr")
-
-
-def _decompose_csr_vec(
-    engine: "Engine", graph: Graph, store_membership: bool
-) -> TriangleKCoreResult:
-    return _decompose_csr_family(engine, graph, store_membership, "csr-vec")
 
 
 def _decompose_external(
@@ -173,7 +158,7 @@ def _decompose_dynamic(
 _BUILTIN_BACKENDS: Dict[str, BackendFn] = {
     "reference": _decompose_reference,
     "csr": _decompose_csr,
-    "csr-vec": _decompose_csr_vec,
+    "csr-vec": _decompose_csr,
     "external": _decompose_external,
     "dynamic": _decompose_dynamic,
 }

@@ -66,8 +66,8 @@ class EngineStats:
         self.counters: Dict[str, int] = {}
         self.backend_calls: Dict[str, int] = {}
         self.stage_seconds: Dict[str, float] = {}
-        #: Aggregate view of every kernel-backend peel: executor name of
-        #: the most recent run, cumulative run count, and cumulative
+        #: Aggregate view of every kernel-backend peel: executor name
+        #: (``"vector"`` or ``"external"``) of the most recent run, cumulative run count, and cumulative
         #: levels / batched decrements / bound skips (see PeelStats in
         #: repro.fast.peelers).
         self.peel: Dict[str, object] = {}
@@ -117,14 +117,14 @@ class EngineStats:
             self.bump(name, value)
 
     def record_peel(self, peel_stats: Dict[str, object]) -> None:
-        """Fold one peel executor run (PeelStats) into the ``peel`` section.
+        """Fold one peel run (PeelStats) into the ``peel`` section.
 
         ``executor`` reflects the most recent run; ``runs``/``levels``/
         ``batched_decrements``/``bound_skips`` accumulate.
         """
         if not peel_stats:
             return
-        self.peel["executor"] = str(peel_stats.get("executor", "scalar"))
+        self.peel["executor"] = str(peel_stats["executor"])
         self.peel["runs"] = int(self.peel.get("runs", 0)) + 1
         for key in ("levels", "batched_decrements", "bound_skips"):
             self.peel[key] = int(self.peel.get(key, 0)) + int(

@@ -15,12 +15,11 @@ layering" has the full composition table):
   triangle counting/supports over any substrate, restrictable to a
   vertex range (the out-of-core backend enumerates partition by
   partition);
-* **L3 — peel executor**: :mod:`~repro.fast.peelers` — Algorithm 1
-  behind the :class:`~repro.fast.peelers.PeelExecutor` seam: the scalar
-  bucket-queue walk or the vectorized level-synchronous executor;
+* **L3 — peel**: :mod:`~repro.fast.peelers` — Algorithm 1 as a
+  level-synchronous walk with batched decrements and a canonical
+  processing order;
 * **L4 — dispatch**: this module — decoding kernel output back into the
-  public dict-based API and the ``backend`` policy composing
-  substrate × enumeration × executor for every entry point.
+  public dict-based API and the ``backend`` policy for every entry point.
 
 Between L2 and L3 the data stays in int64 ``ndarray`` objects when numpy
 is present (lists without it); the peel hands lists of Python ``int``
@@ -34,34 +33,31 @@ Backends
     The original pure-dict implementations.  Always available; required
     for ``store_membership=True``.
 ``"csr"``
-    Snapshot + kernels + **scalar** peel.  Produces identical kappa maps
-    (property-tested against both the reference and networkx), but its
-    processing order may break ties differently — any
-    non-decreasing-kappa order is valid.
+    Snapshot + enumeration kernels + the batched peel.  Identical kappa
+    maps to the reference (property-tested against it and networkx);
+    its processing order is the canonical one (ascending level,
+    sub-round, edge id), which may break ties differently from the
+    reference — any non-decreasing-kappa order is valid.  With numpy the
+    kernels run as array passes; without it bit-identical pure loops
+    keep the backend available everywhere.
 ``"csr-vec"``
-    ``"csr"`` with the **vector** (level-synchronous, batched-decrement)
-    peel executor.  Identical kappa; canonical processing order
-    (ascending level, sub-round, edge id).  The fastest in-RAM backend
-    whenever numpy is present (``BENCH_kernels.json``); without numpy a
-    bit-identical pure path keeps it available everywhere.
+    Accepted alias of ``"csr"``: the same peel, the same answers.
 ``"external"``
     Out-of-core: the CSR columns live in mmap'd spill files under a
     spill directory, triangles are enumerated partition by partition to
     disk, and a reconciliation peel iterates boundary demotions across
     partitions to a fixed point (:mod:`repro.fast.external`).  Resident
     memory stays O(n + m) words plus one byte per triangle regardless of
-    graph size.  Bit-identical to ``"csr"`` (kappa) *and* ``"csr-vec"``
-    (canonical processing order) for any partition count.
+    graph size.  Bit-identical to ``"csr"`` (kappa *and* canonical
+    processing order) for any partition count.
 ``"auto"``
     By measured tiering: ``"external"`` when a ``memory_budget`` is
     configured and the estimated CSR payload exceeds it (or the graph
-    has at least :data:`AUTO_EXTERNAL_MIN_EDGES` edges); else, at or
-    above :data:`AUTO_MIN_EDGES` edges, ``"csr-vec"`` when numpy is
-    present and ``"csr"`` without it; else ``"reference"`` — and always
-    ``"reference"`` whenever membership bookkeeping is requested.
-    ``BENCH_kernels.json`` (``benchmarks/bench_backend_kernels.py``)
-    records the evidence: ``csr-vec`` beats scalar ``csr`` at every
-    swept size from m≈1k to m≈100k on R-MAT and caveman graphs.
+    has at least :data:`AUTO_EXTERNAL_MIN_EDGES` edges); else ``"csr"``
+    at or above :data:`AUTO_MIN_EDGES` edges; else ``"reference"`` — and
+    always ``"reference"`` whenever membership bookkeeping is requested.
+    ``BENCH_kernels.json`` (``benchmarks/bench_backend_kernels.py``,
+    ``tier_sweep``) records the evidence on R-MAT and caveman graphs.
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ from .external import (
     spill_edges,
 )
 from .kernels import peel, supports_and_triangles, triangle_count, triangle_supports
-from .peelers import PEEL_EXECUTORS, IntSeq, _total, run_peel
+from .peelers import IntSeq, _total, run_peel
 
 __all__ = [
     "AUTO_EXTERNAL_MIN_EDGES",
@@ -91,9 +87,7 @@ __all__ = [
     "BackendError",
     "CSRGraph",
     "ExternalCSR",
-    "PEEL_EXECUTORS",
     "SpillError",
-    "backend_executor",
     "cleanup_stale",
     "csr_count_triangles",
     "csr_decomposition",
@@ -121,24 +115,18 @@ BACKENDS = (
     "external",
 )
 
-#: "auto" switches to the CSR kernels at this edge count; below it the
-#: snapshot build costs more than the dict overhead it saves (measured in
-#: benchmarks/bench_backend_kernels.py — the crossover sits near 10^3 edges).
-#: At and above it the vector peel wins too (``BENCH_kernels.json``
-#: ``executor_sweep``), so there is no separate vector threshold.
-AUTO_MIN_EDGES = 1024
+#: "auto" switches from the reference implementation to the CSR kernels
+#: at this edge count: below it the snapshot build costs more than the
+#: dict overhead it saves.  Set from the ``tier_sweep`` of
+#: benchmarks/bench_backend_kernels.py (``BENCH_kernels.json``).
+AUTO_MIN_EDGES = 64
 
 #: "auto" escalates to the out-of-core backend at this edge count even
 #: without an explicit memory budget — the point where the in-RAM
 #: triangle list (24 bytes/triangle plus the O(3T) incidence the peel
-#: executors build) starts to dominate typical container budgets.  With a
+#: builds) starts to dominate typical container budgets.  With a
 #: budget configured the payload-vs-budget comparison takes precedence.
 AUTO_EXTERNAL_MIN_EDGES = 1 << 21
-
-
-def backend_executor(backend: str) -> str:
-    """The peel-executor name a resolved kernel backend composes (L3)."""
-    return "vector" if backend.endswith("-vec") else "scalar"
 
 
 def _known_backends() -> Tuple[str, ...]:
@@ -194,9 +182,6 @@ def resolve_backend(
         return "reference"
     if backend != "auto":
         return backend
-    from . import csr as _csr_mod
-
-    has_numpy = _csr_mod.np is not None
     if graph.num_edges >= AUTO_EXTERNAL_MIN_EDGES or (
         memory_budget is not None
         and estimated_payload_nbytes(graph) > memory_budget
@@ -204,7 +189,7 @@ def resolve_backend(
         return "external"
     if graph.num_edges < AUTO_MIN_EDGES:
         return "reference"
-    return "csr-vec" if has_numpy else "csr"
+    return "csr"
 
 
 def estimated_payload_nbytes(graph: Graph) -> int:
@@ -233,25 +218,22 @@ def _decode_decomposition(
     precomputed: Tuple[IntSeq, IntSeq],
     counters: Optional[Dict[str, int]] = None,
     *,
-    executor: str = "scalar",
     peel_stats: Optional[Dict[str, object]] = None,
 ) -> "TriangleKCoreResult":  # noqa: F821
     """Peel ``precomputed`` and decode into the public result type.
 
     Shared tail of every kernel backend: given the ``(supports,
-    tri_edges)`` pair — however it was computed — run the selected
-    Algorithm 1 peel executor and translate edge ids back to canonical
+    tri_edges)`` pair — however it was computed — run the Algorithm 1
+    peel and translate edge ids back to canonical
     label tuples.  ``counters`` mirrors the instrumentation hook of
     :func:`repro.core.triangle_kcore.triangle_kcore_decomposition`;
-    ``peel_stats`` receives the executor telemetry
+    ``peel_stats`` receives the peel telemetry
     (:data:`~repro.fast.peelers.PeelStats`).
     """
     # Imported lazily: repro.core.triangle_kcore dispatches into this module.
     from ..core.triangle_kcore import TriangleKCoreResult
 
-    kappa_by_eid, order_by_eid = peel(
-        csr, precomputed, executor=executor, stats=peel_stats
-    )
+    kappa_by_eid, order_by_eid = peel(csr, precomputed, stats=peel_stats)
     edges = csr.edge_labels()
     kappa: Dict[Edge, int] = dict(zip(edges, kappa_by_eid))
     processing_order: List[Edge] = list(map(edges.__getitem__, order_by_eid))
@@ -268,20 +250,17 @@ def csr_decomposition(
     graph: Graph,
     *,
     counters: Optional[Dict[str, int]] = None,
-    executor: str = "scalar",
     peel_stats: Optional[Dict[str, object]] = None,
 ) -> "TriangleKCoreResult":  # noqa: F821
     """Algorithm 1 via the CSR kernels, decoded to the public result type.
 
-    ``executor`` selects the peel executor (L3): ``"scalar"`` is
-    ``backend="csr"``, ``"vector"`` is ``backend="csr-vec"``.
     ``counters`` mirrors the instrumentation hook of
     :func:`repro.core.triangle_kcore.triangle_kcore_decomposition`: the
     same keys, derived from arrays the kernels build anyway;
-    ``peel_stats`` receives the executor telemetry.
+    ``peel_stats`` receives the peel telemetry.
     """
     csr = CSRGraph.from_graph(graph)
     precomputed = supports_and_triangles(csr)
     return _decode_decomposition(
-        csr, precomputed, counters, executor=executor, peel_stats=peel_stats
+        csr, precomputed, counters, peel_stats=peel_stats
     )

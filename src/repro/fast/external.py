@@ -45,12 +45,12 @@ regime.  This module keeps both on disk:
   bounds, then applies them with the clamp — iterating boundary demotions
   (an edge demoted by one partition's triangles re-enters the frontier
   seen by every other partition on the next scan) to a fixed point.  This
-  replicates :class:`~repro.fast.peelers.VectorPeel` decision for
+  replicates the in-RAM peel (:mod:`repro.fast.peelers`) decision for
   decision — the set of triangles hit per sub-round and the aggregated
   per-edge decrement counts are identical, and application order within a
   sub-round is commutative — so kappa is bit-identical to ``csr`` (and
   the reference) and the processing order is bit-identical to the
-  canonical ``csr-vec`` order (ascending level, sub-round, edge id) on
+  canonical ``csr`` order (ascending level, sub-round, edge id) on
   every graph.  The conformance matrix asserts both.
 
 Lifetime rules: triangle spill files
@@ -1158,7 +1158,8 @@ def _external_peel_pure(
     info: ExternalInfo,
 ) -> Tuple[List[int], List[int]]:
     # Mirrors _external_peel_numpy decision for decision (which in turn
-    # mirrors VectorPeel): same frontiers, same sub-rounds, same counters.
+    # mirrors repro.fast.peelers): same frontiers, same sub-rounds, same
+    # counters.
     bounds = list(supports)
     processed = bytearray(m)
     in_frontier = bytearray(m)
@@ -1283,7 +1284,7 @@ def decompose_spill(
     """Out-of-core Algorithm 1 over an opened spill directory.
 
     With ``floor=0`` (default) the result is bit-identical to ``csr``:
-    same kappa map, and the canonical ``csr-vec`` processing order.  With
+    same kappa map, and the canonical processing order.  With
     ``floor > 0`` the h-index admission bound prunes partitions that
     provably cannot reach the floor; kappa values ``>= floor`` remain
     exact (values below it may be underestimates — see the module
@@ -1393,8 +1394,8 @@ def external_decomposition(
 
     Spills ``graph`` into ``spill_dir`` (a private temporary directory
     when None, removed afterwards) and decomposes it partition by
-    partition — bit-identical to ``csr`` (kappa) and ``csr-vec``
-    (canonical order) at the default ``floor=0``.  ``memory_budget``
+    partition — bit-identical to ``csr`` (kappa and canonical order) at
+    the default ``floor=0``.  ``memory_budget``
     (bytes) sizes the partition table and turns on page-release between
     partition passes; ``partitions`` pins the partition count explicitly
     (tests use it to force seams on small graphs).

@@ -12,16 +12,12 @@ implementation comes from:
   ``arc_eids`` array yields the edge ids of all three triangle edges with
   no lookups.
 * :func:`peel` — Algorithm 1 (paper §IV-A) on edge-indexed int arrays,
-  dispatched through the :mod:`repro.fast.peelers` executor seam (layer L3):
-  the default ``"scalar"`` executor is the classic ``bucket_start`` /
-  ``edge_pos`` / ``sorted_edges`` position-array bucket queue
-  (Batagelj–Zaveršnik style, O(1) pop and decrement) with a flag-array
-  "processed" set; ``"vector"`` peels level-synchronously with batched
-  numpy decrement passes.
+  delegated to the level-synchronous batched peel of
+  :mod:`repro.fast.peelers` (layer L3).
 
 Array handoff contract.  With numpy, :func:`supports_and_triangles`
-returns int64 ``ndarray`` objects and the peel executors take them as they
-are, so the ``csr-vec`` path stays in arrays from snapshot to peel; without
+returns int64 ``ndarray`` objects and the peel takes them as they are, so
+the ``csr`` path stays in arrays from snapshot to peel; without
 numpy the pure loops produce and consume plain ``list`` objects.  Every
 value that leaves the kernel layer is a Python ``int``: :func:`peel`
 returns lists and :func:`triangle_supports` converts once.
@@ -209,23 +205,15 @@ def peel(
     csr: CSRGraph,
     precomputed: Optional[Tuple[IntSeq, IntSeq]] = None,
     *,
-    executor: str = "scalar",
     stats: Optional[dict] = None,
 ) -> Tuple[List[int], List[int]]:
     """Algorithm 1 over flat arrays: ``(kappa, processing_order)`` by edge id.
 
     ``precomputed`` may carry ``(supports, tri_edges)`` from
-    :func:`supports_and_triangles` to skip the enumeration pass.
-
-    The peel itself lives behind the :mod:`repro.fast.peelers` executor seam
-    (kernel layer L3): ``executor="scalar"`` (default) runs the sequential
-    bucket-queue walk that mirrors the reference implementation exactly —
-    pop a minimum-bound edge, freeze its bound as :math:`\\kappa`, and for
-    every triangle none of whose edges is processed yet, decrement the
-    bounds of the two other edges when they exceed the frozen value
-    (Theorem 1) — while ``executor="vector"`` peels level-synchronously
-    with batched decrements (identical kappa, canonical ordering).
-    ``stats`` (when given) receives the executor's
+    :func:`supports_and_triangles` to skip the enumeration pass.  The peel
+    is :func:`repro.fast.peelers.run_peel`: level-synchronous, batched
+    decrements, canonical processing order (ascending level, sub-round,
+    edge id).  ``stats`` (when given) receives its
     :data:`~repro.fast.peelers.PeelStats`.
     """
     supports, tri_edges = (
@@ -233,6 +221,4 @@ def peel(
         if precomputed is not None
         else supports_and_triangles(csr, record_triangles=True)
     )
-    return run_peel(
-        csr.num_edges, supports, tri_edges, executor=executor, stats=stats
-    )
+    return run_peel(csr.num_edges, supports, tri_edges, stats=stats)

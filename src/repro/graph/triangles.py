@@ -82,8 +82,7 @@ def count_triangles(graph: Graph, *, backend: str = "auto") -> int:
     """
     from ..fast import csr_count_triangles, resolve_backend
 
-    # Counting never peels, so "csr-vec" (which differs from "csr" only in
-    # peel executor) collapses to the same enumeration here.
+    # "csr-vec" is an alias of "csr".
     resolved = resolve_backend(backend, graph)
     if resolved in ("csr", "csr-vec"):
         return csr_count_triangles(graph)
@@ -104,7 +103,6 @@ def triangle_supports(graph: Graph, *, backend: str = "auto") -> Dict[Edge, int]
     """
     from ..fast import csr_triangle_supports, resolve_backend
 
-    # Supports never peel either — same csr-vec → csr collapse.
     resolved = resolve_backend(backend, graph)
     if resolved in ("csr", "csr-vec"):
         return csr_triangle_supports(graph)

@@ -146,23 +146,6 @@ class Graph:
         self._version += amount
         return self._version
 
-    def restore_version(self, version: int) -> int:
-        """Set the mutation counter outright (snapshot deserialization).
-
-        A graph rebuilt from a serialized snapshot must report the
-        *snapshot's* version, not the number of insertions the rebuild
-        happened to perform, so that version-stamped consumers (the
-        replication tier, the engine cache) see one continuous stream.
-        Only ever call this on a freshly deserialized graph that no
-        version-keyed cache has observed yet — lowering the version of a
-        graph the engine has already cached would alias distinct states.
-        Returns the new version.
-        """
-        if version < 0:
-            raise ValueError(f"version must be >= 0, got {version}")
-        self._version = version
-        return self._version
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #

@@ -138,8 +138,7 @@ class ServiceClient:
         self.backoff_max = backoff_max
         self.backoff_codes = tuple(backoff_codes)
         #: Highest ``version`` seen in any response — pass it back as
-        #: ``min_version`` on reads for read-your-writes through a
-        #: router/replica tier.
+        #: ``min_version`` on a read that must observe every write seen.
         self.last_version = 0
         #: Sleeps performed by the backoff loop (seconds, appended per
         #: retry) — observability for tests and load generators.

@@ -45,10 +45,7 @@ ERR_OVERLOADED = "overloaded"
 ERR_TIMED_OUT = "timed_out"
 ERR_SHUTTING_DOWN = "shutting_down"
 ERR_INTERNAL = "internal"
-# Replication-tier codes (see docs/SERVICE.md, "Replication").
 ERR_STALE = "stale_replica"  # min_version fence not reached in time
-ERR_READ_ONLY = "read_only"  # POST /edits sent to a replica
-ERR_UPSTREAM = "upstream_unavailable"  # router found no live backend
 
 #: Hard framing limits (strict: exceeding them is a protocol error).
 MAX_REQUEST_LINE_BYTES = 8192
@@ -58,7 +55,6 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 _STATUS_REASONS = {
     200: "OK",
     400: "Bad Request",
-    403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
@@ -66,7 +62,6 @@ _STATUS_REASONS = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
-    502: "Bad Gateway",
     503: "Service Unavailable",
 }
 
@@ -242,83 +237,6 @@ async def read_http_request(
     )
 
 
-@dataclass
-class HttpResponse:
-    """One parsed response: status, headers, raw body (router upstream)."""
-
-    status: int
-    headers: Dict[str, str]
-    body: bytes
-
-    def header(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        return self.headers.get(name.lower(), default)
-
-    @property
-    def will_close(self) -> bool:
-        return self.headers.get("connection", "").lower() == "close"
-
-
-async def read_http_response(
-    reader: asyncio.StreamReader,
-    *,
-    max_body_bytes: int = MAX_BODY_BYTES,
-) -> HttpResponse:
-    """Parse one HTTP/1.1 response off ``reader`` (router → backend leg).
-
-    The mirror image of :func:`read_http_request`, with the same strict
-    framing: responses must carry ``Content-Length`` (every response this
-    service renders does); chunked encoding and EOF-delimited bodies are
-    rejected with :class:`ProtocolError`.
-    """
-    try:
-        status_line = await reader.readuntil(b"\n")
-    except asyncio.IncompleteReadError:
-        raise ProtocolError(502, "backend closed before the status line") from None
-    except asyncio.LimitOverrunError:
-        raise ProtocolError(502, "backend status line too long") from None
-    parts = status_line.decode("latin-1").strip().split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise ProtocolError(502, f"malformed status line: {status_line!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise ProtocolError(502, f"malformed status code: {parts[1]!r}") from None
-
-    headers: Dict[str, str] = {}
-    header_bytes = 0
-    while True:
-        try:
-            line = await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError:
-            raise ProtocolError(502, "backend closed mid headers") from None
-        except asyncio.LimitOverrunError:
-            raise ProtocolError(502, "backend header line too long") from None
-        if line in (b"\r\n", b"\n"):
-            break
-        header_bytes += len(line)
-        if header_bytes > MAX_HEADER_BYTES:
-            raise ProtocolError(502, "backend headers too large")
-        name, separator, value = line.decode("latin-1").partition(":")
-        if not separator or not name.strip():
-            raise ProtocolError(502, f"malformed backend header: {line!r}")
-        headers[name.strip().lower()] = value.strip()
-
-    raw_length = headers.get("content-length")
-    if raw_length is None:
-        raise ProtocolError(502, "backend response lacks Content-Length")
-    try:
-        length = int(raw_length)
-    except ValueError:
-        raise ProtocolError(502, f"bad Content-Length {raw_length!r}") from None
-    if length < 0 or length > max_body_bytes:
-        raise ProtocolError(502, f"bad Content-Length {raw_length!r}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError(502, "backend closed mid body") from None
-    return HttpResponse(status=status, headers=headers, body=body)
-
-
 # --------------------------------------------------------------------- #
 # HTTP response rendering
 # --------------------------------------------------------------------- #
@@ -330,7 +248,6 @@ def render_http_response(
     *,
     keep_alive: bool = True,
     retry_after: Optional[float] = None,
-    extra_headers: Tuple[Tuple[str, str], ...] = (),
 ) -> bytes:
     """Serialize one JSON response to raw HTTP/1.1 bytes."""
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
@@ -346,8 +263,6 @@ def render_http_response(
     if retry_after is not None:
         # Integer seconds per RFC 9110; never under-promise the wait.
         lines.append(f"Retry-After: {max(0, math.ceil(retry_after))}")
-    for name, value in extra_headers:
-        lines.append(f"{name}: {value}")
     head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
     return head + body
 

@@ -70,9 +70,8 @@ class VersionGate:
     """Wait-for-version primitive behind ``min_version`` read fences.
 
     Connection tasks park on :meth:`wait` until the served state reaches
-    a target version; whoever advances the state (the dispatcher after a
-    write, a replica's replication tail after a fold) calls
-    :meth:`notify` with the new version.  Waiting happens *before* a
+    a target version; the dispatcher calls :meth:`notify` with the new
+    version after every handled request.  Waiting happens *before* a
     request enters the serial dispatch queue, so a fenced read can never
     deadlock against the very write that would satisfy it.
     """
@@ -232,17 +231,6 @@ class ServiceServer:
         """Serve until :meth:`request_shutdown`, then drain and return."""
         await self._shutdown_requested.wait()
         await self.drain()
-
-    def notify_version(self) -> None:
-        """Release read fences matured by an out-of-band state advance.
-
-        The dispatcher calls :meth:`VersionGate.notify` after every
-        handled request; components that advance the state from *outside*
-        the dispatcher — the replication tail folding writer commits into
-        a replica — must call this after each fold.  Must run on the
-        server's event loop.
-        """
-        self.version_gate.notify(self.state.version)
 
     async def drain(self) -> None:
         """Stop accepting, answer everything admitted, stop the dispatcher."""
@@ -598,7 +586,6 @@ class BackgroundServer:
         *,
         state: Optional[ServiceState] = None,
         backend: Optional[str] = None,
-        server_cls: type = None,  # type: ignore[assignment]
         **server_kwargs,
     ) -> None:
         if (graph is None) == (state is None):
@@ -606,9 +593,6 @@ class BackgroundServer:
         self.state = state if state is not None else ServiceState(
             graph, backend=backend
         )
-        #: Server class to instantiate — the replication tier passes its
-        #: WriterServer/ReplicaServer subclasses through here.
-        self._server_cls = server_cls if server_cls is not None else ServiceServer
         self._server_kwargs = server_kwargs
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
@@ -634,7 +618,7 @@ class BackgroundServer:
 
     def _thread_main(self) -> None:
         async def main() -> None:
-            server = self._server_cls(self.state, **self._server_kwargs)
+            server = ServiceServer(self.state, **self._server_kwargs)
             try:
                 await server.start()
             except BaseException as error:

@@ -243,10 +243,6 @@ class ServiceState:
         )
         self.backend = backend or self.engine.default_backend
         self.edit_strategy = edit_strategy
-        #: Which seat this state occupies in a replicated tier
-        #: (``standalone`` / ``writer`` / ``replica``); echoed in
-        #: ``/healthz`` so operators can tell processes apart.
-        self.role = "standalone"
         #: Startup snapshot, frozen: the "original graph" of Algorithm 4.
         self.baseline = graph.copy()
         self.baseline_version = self.baseline.version
@@ -304,7 +300,7 @@ class ServiceState:
         return {
             "status": "draining" if draining else "ok",
             "schema": SERVICE_SCHEMA,
-            "role": self.role,
+            "role": "standalone",
             "version": self.version,
             "answered_at_version": self.version,
             "vertices": self.graph.num_vertices,

@@ -16,10 +16,8 @@ kappa map against every *checkpoint oracle* registered here:
     compared through the kappa = truss - 2 correspondence.  Skipped
     automatically when networkx is not importable.
 ``csr-vec``
-    The CSR kernels with the **vector** (level-synchronous) peel
-    executor — the same enumeration as ``csr`` but an entirely different
-    Algorithm 1 walk, so it catches executor-specific bugs (batched
-    decrement accounting, bound clamping).  Opt-in.
+    The ``csr`` oracle under its alias name — the engine resolves both to
+    the same kernels.  Opt-in (``fuzz --backend csr-vec``).
 ``external``
     The out-of-core partitioned spill backend (:mod:`repro.fast.external`)
     run on the shadow graph.  Opt-in.
@@ -121,13 +119,9 @@ class CheckpointOracles:
         for name in self._names:
             if name == "recompute":
                 answers[name] = self._recompute_kappa(shadow)
-            elif name == "csr":
+            elif name in ("csr", "csr-vec"):
                 answers[name] = self._engine.decompose(
-                    shadow, backend="csr", use_cache=False
-                ).kappa
-            elif name == "csr-vec":
-                answers[name] = self._engine.decompose(
-                    shadow, backend="csr-vec", use_cache=False
+                    shadow, backend=name, use_cache=False
                 ).kappa
             elif name == "networkx" and self._nx_usable:
                 from ..baselines.nx_truss import networkx_kappa

@@ -14,9 +14,9 @@ The matrix axes:
   corpus bundle, and hypothesis-generated graphs.
 
 Asserted per cell: the kappa map equals the reference backend's exactly;
-processing order is bit-identical within the vector executor family
-(``csr-vec`` == ``external`` at every partition count) and between each
-``repro.fast.parallel`` delegate and the kernel it wraps; triangle counts
+processing order is the one canonical order wherever the batched peel
+runs (``csr`` == its alias ``csr-vec`` == ``external`` at every
+partition count == the ``repro.fast.parallel`` delegate); triangle counts
 agree across counting backends; membership bookkeeping is refused by every backend
 that cannot provide it (error contract), and the ``auto`` policy degrades
 instead of erroring.  Each check runs on a fresh cache-disabled engine so
@@ -42,8 +42,9 @@ from repro.testing import ReproBundle
 
 ALL_BACKENDS = tuple(_BUILTIN_BACKENDS)
 
-#: The ``repro.fast.parallel`` delegates, by the name they register under.
-COMPAT_EXECUTORS = {"parallel": "scalar", "parallel-vec": "vector"}
+#: The names the ``repro.fast.parallel`` delegate registers under (the
+#: retired process-parallel backends' names).
+COMPAT_BACKENDS = ("parallel", "parallel-vec")
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_PATHS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -103,12 +104,11 @@ def register_mirror(engine: Engine) -> None:
 
 def register_compat(engine: Engine) -> None:
     """The ``repro.fast.parallel`` delegates as third-party backends."""
-    for name, executor in COMPAT_EXECUTORS.items():
+    def compat(eng, graph, store_membership):
+        assert not store_membership
+        return parallel_decomposition(graph)
 
-        def compat(eng, graph, store_membership, executor=executor):
-            assert not store_membership
-            return parallel_decomposition(graph, executor=executor)
-
+    for name in COMPAT_BACKENDS:
         engine.register_backend(name, compat)
 
 
@@ -119,7 +119,7 @@ def register_compat(engine: Engine) -> None:
 
 class TestKappaConformance:
     @pytest.mark.parametrize(
-        "backend", ALL_BACKENDS + ("mirror",) + tuple(COMPAT_EXECUTORS)
+        "backend", ALL_BACKENDS + ("mirror",) + COMPAT_BACKENDS
     )
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_fixed_graphs(self, backend, name):
@@ -128,7 +128,7 @@ class TestKappaConformance:
         engine = fresh_engine()
         if backend == "mirror":
             register_mirror(engine)
-        if backend in COMPAT_EXECUTORS:
+        if backend in COMPAT_BACKENDS:
             register_compat(engine)
         result = engine.decompose(graph, backend=backend)
         assert result.kappa == expected.kappa, (
@@ -153,38 +153,42 @@ class TestKappaConformance:
 
 
 # ------------------------------------------------------------------ #
-# executor families: order identity
+# one peel: order identity
 # ------------------------------------------------------------------ #
 
 
 class TestExecutorFamilies:
-    """The -vec composition is its own family with its own order contract.
+    """Every backend that runs the batched peel gives one canonical order.
 
     Kappa must equal the reference everywhere (covered by the matrix
-    above); processing order must be *bit-identical within a family* —
-    partitioned enumeration composed with the same executor cannot change
-    the order — while the two families may legitimately order ties
-    differently.
+    above); processing order must be *bit-identical* across ``csr``, its
+    ``csr-vec`` alias and ``external`` — partitioned enumeration feeding
+    the same level-synchronous peel cannot change the order — while the
+    reference may legitimately order ties differently.
     """
 
     @pytest.mark.parametrize("name", GRAPH_NAMES)
-    def test_parallel_vec_bit_identical_to_csr_vec(self, name):
+    def test_csr_vec_alias_bit_identical_to_csr(self, name):
         graph = fixed_graphs()[name]
-        expected = csr_decomposition(graph, executor="vector")
-        result = parallel_decomposition(graph, executor="vector")
-        assert result.kappa == expected.kappa
-        assert result.processing_order == expected.processing_order
+        runs = []
+        for backend in ("csr", "csr-vec"):
+            engine = fresh_engine()
+            result = engine.decompose(graph, backend=backend)
+            runs.append(
+                (result.kappa, result.processing_order,
+                 engine.stats_dict()["peel"])
+            )
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_external_bit_identical_to_csr_vec(self, name):
-        # The out-of-core backend belongs to the vector family: its
-        # level-synchronous reconciliation peel must reproduce csr-vec's
-        # canonical order bit-for-bit at every partition count, seams or
-        # no seams.
+        # The out-of-core backend's level-synchronous reconciliation peel
+        # must reproduce csr's canonical order bit-for-bit at every
+        # partition count, seams or no seams.
         from repro.fast.external import external_decomposition
 
         graph = fixed_graphs()[name]
-        expected = csr_decomposition(graph, executor="vector")
+        expected = csr_decomposition(graph)
         for partitions in (1, 2, 3, 7):
             result = external_decomposition(graph, partitions=partitions)
             assert result.kappa == expected.kappa
@@ -193,7 +197,7 @@ class TestExecutorFamilies:
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_vector_order_is_valid_and_kappa_sorted(self, name):
         graph = fixed_graphs()[name]
-        result = csr_decomposition(graph, executor="vector")
+        result = csr_decomposition(graph)
         assert set(result.processing_order) == set(result.kappa)
         kappas = [result.kappa[e] for e in result.processing_order]
         assert kappas == sorted(kappas)  # non-decreasing, like Algorithm 1
@@ -295,10 +299,8 @@ def test_every_backend_agrees_on_random_graphs(graph, partitions):
     expected = triangle_kcore_decomposition(graph, backend="reference")
     csr = csr_decomposition(graph)
     assert csr.kappa == expected.kappa
-    vec = csr_decomposition(graph, executor="vector")
-    assert vec.kappa == expected.kappa
     ext = external_decomposition(graph, partitions=partitions)
     assert ext.kappa == expected.kappa
-    assert ext.processing_order == vec.processing_order
+    assert ext.processing_order == csr.processing_order
     dyn = Engine(max_cached_graphs=0).decompose(graph, backend="dynamic")
     assert dyn.kappa == expected.kappa

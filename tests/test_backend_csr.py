@@ -253,23 +253,19 @@ class TestBackendResolution:
         assert resolve_backend("auto", small) == "reference"
         big = barabasi_albert(AUTO_MIN_EDGES // 2 + 10, 2, seed=0)
         assert big.num_edges >= AUTO_MIN_EDGES
-        expected = "csr-vec" if csr_module.np is not None else "csr"
-        assert resolve_backend("auto", big) == expected
+        assert resolve_backend("auto", big) == "csr"
 
     @pytest.mark.parametrize(
-        "edges, with_numpy, without_numpy",
+        "edges, expected",
         [
-            (AUTO_MIN_EDGES - 1, "reference", "reference"),
-            (AUTO_MIN_EDGES, "csr-vec", "csr"),
-            (4 * AUTO_MIN_EDGES, "csr-vec", "csr"),
+            (AUTO_MIN_EDGES - 1, "reference"),
+            (AUTO_MIN_EDGES, "csr"),
+            (4 * AUTO_MIN_EDGES, "csr"),
         ],
     )
-    def test_auto_tiers_around_min_edges(
-        self, numpy_mode, edges, with_numpy, without_numpy
-    ):
+    def test_auto_tiers_around_min_edges(self, numpy_mode, edges, expected):
         star = Graph(edges=[(0, leaf) for leaf in range(1, edges + 1)])
         assert star.num_edges == edges
-        expected = with_numpy if numpy_mode == "numpy" else without_numpy
         assert resolve_backend("auto", star) == expected
         assert Engine().resolve(None, star) == expected
 

@@ -4,7 +4,7 @@ Four concerns, mirroring the PR 8 shard-tiling suite and the PR 5
 persistence-error matrix:
 
 * **Bit-identity** — ``external`` must produce the exact ``csr`` kappa map
-  *and* the exact ``csr-vec`` canonical processing order on every graph,
+  *and* the exact ``csr`` canonical processing order on every graph,
   for any partition count (including the single-partition degenerate
   case), through both the in-RAM :meth:`ExternalCSR.build` entry and the
   bounded-memory :func:`spill_edges` stream builder, with and without
@@ -109,7 +109,7 @@ def int_graph(num_vertices: int, edges) -> Graph:
 
 
 # ------------------------------------------------------------------ #
-# bit-identity vs csr / csr-vec
+# bit-identity vs csr
 # ------------------------------------------------------------------ #
 
 
@@ -117,10 +117,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_kappa_and_canonical_order(self, name):
         graph = graph_zoo()[name]
-        want_kappa = csr_decomposition(graph).kappa
-        want_order = csr_decomposition(
-            graph, executor="vector"
-        ).processing_order
+        want = csr_decomposition(graph)
+        want_kappa, want_order = want.kappa, want.processing_order
         for parts in PARTITION_COUNTS:
             got = external_decomposition(graph, partitions=parts)
             assert got.kappa == want_kappa, (name, parts)
@@ -131,7 +129,7 @@ class TestBitIdentity:
         # reproduce the canonical answers (and its partition table must
         # tile the whole vertex range).
         graph = graph_zoo()["er_medium"]
-        want = csr_decomposition(graph, executor="vector")
+        want = csr_decomposition(graph)
         got = external_decomposition(graph, partitions=1)
         assert got.kappa == want.kappa
         assert got.processing_order == want.processing_order
@@ -139,10 +137,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_pure_python_path(self, name, monkeypatch):
         graph = graph_zoo()[name]
-        want_kappa = csr_decomposition(graph).kappa
-        want_order = csr_decomposition(
-            graph, executor="vector"
-        ).processing_order
+        want = csr_decomposition(graph)
+        want_kappa, want_order = want.kappa, want.processing_order
         monkeypatch.setattr(csr_mod, "np", None)
         got = external_decomposition(graph, partitions=3)
         assert got.kappa == want_kappa
@@ -151,7 +147,7 @@ class TestBitIdentity:
     def test_spill_edges_stream_matches_in_ram_build(self, tmp_path):
         edges = sorted(erdos_renyi(40, 0.15, seed=7).edges())
         graph = int_graph(40, edges)
-        want = csr_decomposition(graph, executor="vector")
+        want = csr_decomposition(graph)
         # Stream with duplicates and self-loops thrown in: the builder
         # must dedup and drop them.
         noisy = list(edges) + [(3, 3), (0, 0)] + edges[:5] \
@@ -167,7 +163,7 @@ class TestBitIdentity:
     def test_spill_edges_pure_python(self, tmp_path, monkeypatch):
         edges = sorted(erdos_renyi(18, 0.3, seed=3).edges())
         graph = int_graph(18, edges)
-        want = csr_decomposition(graph, executor="vector")
+        want = csr_decomposition(graph)
         monkeypatch.setattr(csr_mod, "np", None)
         ext = spill_edges(iter(edges), 18, str(tmp_path / "s"), partitions=3)
         try:
@@ -181,7 +177,7 @@ class TestBitIdentity:
         # build -> close -> open(verify=True) -> decompose: the on-disk
         # round trip (including checksum verification) changes nothing.
         graph = graph_zoo()["two_k4"]
-        want = csr_decomposition(graph, executor="vector")
+        want = csr_decomposition(graph)
         spill = str(tmp_path / "spill")
         ExternalCSR.build(graph, spill, partitions=3).close()
         ext = ExternalCSR.open(spill, verify=True)
@@ -228,10 +224,8 @@ class TestBitIdentity:
         parts = data.draw(
             st.integers(min_value=1, max_value=6), label="partitions"
         )
-        want_kappa = csr_decomposition(graph).kappa
-        want_order = csr_decomposition(
-            graph, executor="vector"
-        ).processing_order
+        want = csr_decomposition(graph)
+        want_kappa, want_order = want.kappa, want.processing_order
         got = external_decomposition(graph, partitions=parts)
         assert got.kappa == want_kappa
         assert got.processing_order == want_order

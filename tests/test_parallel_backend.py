@@ -83,7 +83,7 @@ class TestBitIdentity:
         runs = []
         for _ in range(2):
             counters: dict = {}
-            parallel_decomposition(graph, executor="vector", counters=counters)
+            parallel_decomposition(graph, counters=counters)
             runs.append(counters)
         assert runs[0] == runs[1]
 
@@ -115,7 +115,7 @@ class TestShortCircuitAndDegenerates:
 
     def test_triangle_free_graph(self):
         graph = Graph(edges=[(0, i) for i in range(1, 40)])
-        result = parallel_decomposition(graph, executor="vector")
+        result = parallel_decomposition(graph)
         assert set(result.kappa.values()) == {0}
 
 
@@ -238,7 +238,7 @@ class TestAutoPolicy:
             graph = SimpleNamespace(num_edges=edges)
             assert resolve_backend("auto", graph) in ("reference", "csr", "csr-vec")
 
-    def test_auto_scalar_composition_without_numpy(self, monkeypatch):
+    def test_auto_composition_without_numpy(self, monkeypatch):
         monkeypatch.setattr(csr_mod, "np", None)
         big = SimpleNamespace(num_edges=AUTO_MIN_EDGES)
         assert resolve_backend("auto", big) == "csr"

@@ -9,13 +9,17 @@ The conformance classes assert the acceptance criteria of the service:
 * after ``POST /edits``, ``GET /kappa`` matches a from-scratch recompute
   oracle (PR 2 workload profiles replayed over HTTP);
 * overload produces bounded-queue rejections (429/503), never hangs;
-* every response carries a monotonically non-decreasing ``version``.
+* every response carries a monotonically non-decreasing ``version``;
+* ``min_version`` read fences hold a read until the state reaches the
+  version, and answer 503 ``stale_replica`` when it never does.
 """
 
 import json
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import triangle_kcore_decomposition
 from repro.engine import Engine
@@ -291,6 +295,50 @@ class TestEdits:
                 assert excinfo.value.status == 400
 
 
+class TestReadFences:
+    def test_fenced_read_waits_for_write(self):
+        with BackgroundServer(make_fixture_graph(), fence_timeout=30) as server:
+            target = server.state.version + 1
+            answers = []
+
+            def fenced_read():
+                with ServiceClient("127.0.0.1", server.port) as reader:
+                    answers.append(
+                        reader.request("GET", f"/healthz?min_version={target}")
+                    )
+
+            thread = threading.Thread(target=fenced_read)
+            thread.start()
+            deadline = time.monotonic() + 10
+            while not server.server.version_gate._waiters:
+                assert time.monotonic() < deadline, "read never parked"
+                time.sleep(0.01)
+            assert not answers  # parked, not answered with older state
+            with ServiceClient("127.0.0.1", server.port) as writer:
+                outcome = writer.edits([("add", 20, 21)])
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        status, doc = answers[0]
+        assert status == 200
+        assert outcome.version >= target
+        assert doc["answered_at_version"] >= target
+
+    def test_unreachable_fence_times_out_with_stale_replica(self):
+        with BackgroundServer(make_fixture_graph(), fence_timeout=0.2) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                with pytest.raises(ServiceClientError) as excinfo:
+                    client.request("GET", "/healthz?min_version=999999")
+        assert excinfo.value.status == 503
+        assert excinfo.value.code == "stale_replica"
+        assert excinfo.value.retry_after is not None
+
+    def test_malformed_fence_is_bad_request(self, client):
+        for bad in ("abc", "-1", "1.5"):
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.request("GET", f"/healthz?min_version={bad}")
+            assert excinfo.value.status == 400
+
+
 class TestBackpressure:
     def test_queue_overflow_rejects_with_503(self):
         # One slow handler at a time + tiny queue => pile-up => 503s.
@@ -446,3 +494,34 @@ class TestDrain:
         server.start()
         server.stop()
         server.stop()
+
+
+@pytest.fixture(scope="module")
+def edit_server():
+    with BackgroundServer(complete_graph(4)) as background:
+        yield background
+
+
+# Edits touch a small vertex universe so adds/removes collide often.
+_vertex = st.integers(min_value=0, max_value=12)
+_edit_batches = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(["add", "remove"]), _vertex, _vertex),
+        min_size=1,
+        max_size=5,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(batches=_edit_batches)
+def test_client_last_version_rides_every_response(edit_server, batches):
+    with ServiceClient("127.0.0.1", edit_server.port) as client:
+        for batch in batches:
+            outcome = client.edits(batch)
+            assert client.last_version >= outcome.version
+            seen = client.last_version
+            client.healthz()
+            assert client.last_version >= seen

@@ -153,9 +153,9 @@ class TestSchemaCompat:
 
         engine = Engine(max_cached_graphs=0)
         engine.decompose(complete_graph(6), backend="csr-vec")
-        engine.decompose(complete_graph(5), backend="csr")
+        engine.decompose(complete_graph(5), backend="external")
         section = engine.stats_dict()["peel"]
-        assert section["executor"] == "scalar"  # most recent run
+        assert section["executor"] == "external"  # most recent run
         assert section["runs"] == 2
 
 
@@ -247,6 +247,34 @@ class TestServeStatsContract:
         payload = assert_stats_contract(out)
         assert payload["service"]["requests"]["healthz"]["count"] == 1
         assert "drained cleanly" in out
+
+    def test_announce_line_is_stable(self):
+        # Wrappers that bind port 0 (the perfbench serve workload) parse
+        # this exact line; its bytes are part of the CLI contract.
+        import urllib.request
+
+        proc = self._spawn()
+        try:
+            announce = next(
+                (line for line in proc.stdout if line.startswith("ANNOUNCE ")),
+                None,
+            )
+            assert announce is not None, "serve exited before announcing"
+            port = json.loads(announce[len("ANNOUNCE "):])["port"]
+            assert announce == (
+                f'ANNOUNCE {{"port": {port}, "role": "standalone"}}\n'
+            )
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/healthz", timeout=10
+            ) as response:
+                assert response.status == 200
+            proc.send_signal(signal.SIGTERM)
+            _out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
 
     def test_sigterm_without_stats_exits_zero(self):
         proc = self._spawn()
