@@ -657,8 +657,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"on http://{args.host}:{running.port}",
             flush=True,
         )
-        payload = {"role": "standalone", "port": running.port}
-        print(ANNOUNCE_PREFIX + json.dumps(payload, sort_keys=True), flush=True)
+        payload = json.dumps({"role": "standalone", "port": running.port},
+                             sort_keys=True)
+        print(ANNOUNCE_PREFIX + payload, flush=True)
 
     run_server(server, announce=announce)
     print("drained cleanly", flush=True)

@@ -67,9 +67,9 @@ class EngineStats:
         self.backend_calls: Dict[str, int] = {}
         self.stage_seconds: Dict[str, float] = {}
         #: Aggregate view of every kernel-backend peel: executor name
-        #: (``"vector"`` or ``"external"``) of the most recent run, cumulative run count, and cumulative
-        #: levels / batched decrements / bound skips (see PeelStats in
-        #: repro.fast.peelers).
+        #: (``"vector"`` or ``"external"``) of the most recent run,
+        #: cumulative run count, and cumulative levels / batched
+        #: decrements / bound skips (see PeelStats in repro.fast.peelers).
         self.peel: Dict[str, object] = {}
         #: Aggregate view of every "external"-backend decomposition:
         #: partition count of the most recent run plus cumulative
