@@ -14,10 +14,11 @@ Acceptance gate: the CSR backend must be >= 3x faster than the reference
 on the largest synthetic Table II graph.
 
 The tier sweep (``tier_sweep`` in the JSON) is the evidence for the
-``auto`` tiering in :mod:`repro.fast` (``AUTO_MIN_EDGES``):
-``Engine.decompose`` with ``reference`` vs ``csr`` on R-MAT and
-relaxed-caveman graphs from m≈28 to m≈100k edges.  Its gate: on every row,
-the backend ``auto`` resolves to is within 10% of the faster of the two.
+``auto`` tiering in :mod:`repro.fast` (``AUTO_MIN_WORK``):
+``Engine.decompose`` with ``reference`` vs ``csr`` on R-MAT graphs of
+edge factor 1, 2 and 6 and on relaxed-caveman graphs, from m=6 to
+m≈100k edges.  Its gate: on every row, the backend ``auto`` resolves to
+is within 10% of the faster of the two.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import pytest
 
 from repro.core import triangle_kcore_decomposition
 from repro.engine import Engine
-from repro.fast import AUTO_MIN_EDGES
+from repro.fast import AUTO_MIN_WORK
 from repro.graph.generators import relaxed_caveman, rmat
 from repro.graph.triangles import count_triangles
 
@@ -44,12 +45,23 @@ LARGEST_DATASET = SWEEP_DATASETS[-1]
 MIN_SPEEDUP_LARGEST = 3.0
 REPEATS = 3
 
-#: ``(family, generator args)`` of the reference vs csr sweep, m≈28..100k:
-#: R-MAT at edge factor 6 (the LiveJournal stand-in's shape) and relaxed
-#: caves of 20 (the clique-rich regime the paper targets), led by single
-#: relaxed cliques of 8 and 12 vertices for the smallest clique-rich rows.
-#: The two m=28 rows sit below ``AUTO_MIN_EDGES``, the rest above it.
+#: ``(family, generator args)`` of the reference vs csr sweep, m=6..100k.
+#: Each family has rows on both sides of ``AUTO_MIN_WORK`` (``2m²/n``):
+#: near-forest R-MAT (edge factor 1), sparse R-MAT (edge factor 2),
+#: R-MAT at edge factor 6 (the LiveJournal stand-in's shape, from K4),
+#: and relaxed caves (the clique-rich regime the paper targets) — single
+#: cliques of 5..12 vertices, strings of 5-cliques, then caves of 20.
 TIER_SWEEP = (
+    ("rmat", (4, 1)),
+    ("rmat", (5, 1)),
+    ("rmat", (6, 1)),
+    ("rmat", (8, 1)),
+    ("rmat", (3, 2)),
+    ("rmat", (4, 2)),
+    ("rmat", (5, 2)),
+    ("rmat", (6, 2)),
+    ("rmat", (8, 2)),
+    ("rmat", (2, 6)),
     ("rmat", (3, 6)),
     ("rmat", (4, 6)),
     ("rmat", (6, 6)),
@@ -57,8 +69,13 @@ TIER_SWEEP = (
     ("rmat", (10, 6)),
     ("rmat", (12, 6)),
     ("rmat", (14, 6)),
+    ("caveman", (1, 5, 0.1)),
+    ("caveman", (1, 6, 0.1)),
+    ("caveman", (1, 7, 0.1)),
     ("caveman", (1, 8, 0.1)),
     ("caveman", (1, 12, 0.1)),
+    ("caveman", (3, 5, 0.1)),
+    ("caveman", (4, 5, 0.1)),
     ("caveman", (1, 20, 0.1)),
     ("caveman", (6, 20, 0.1)),
     ("caveman", (25, 20, 0.1)),
@@ -133,6 +150,7 @@ def _tier_sweep():
                 "graph": f"{family}{args}",
                 "vertices": graph.num_vertices,
                 "edges": graph.num_edges,
+                "work": round(2 * graph.num_edges**2 / graph.num_vertices),
                 "rounds": rounds,
                 "reference_seconds": round(best["reference"], 6),
                 "csr_seconds": round(best["csr"], 6),
@@ -200,13 +218,14 @@ def _backend_kernels_report(dataset_loader):
     lines.append("")
     lines.extend(
         format_table(
-            ("graph", "|V|", "|E|", "reference(s)", "csr(s)", "speedup",
-             "auto", "auto/best"),
+            ("graph", "|V|", "|E|", "2m²/n", "reference(s)", "csr(s)",
+             "speedup", "auto", "auto/best"),
             [
                 (
                     r["graph"],
                     r["vertices"],
                     r["edges"],
+                    r["work"],
                     f"{r['reference_seconds']:.5f}",
                     f"{r['csr_seconds']:.5f}",
                     f"{r['csr_speedup']:.2f}x",
@@ -252,10 +271,11 @@ def _backend_kernels_report(dataset_loader):
                     "description": (
                         "Engine.decompose with reference vs csr, best of "
                         f"{SWEEP_MIN_ROUNDS}..{SWEEP_MAX_ROUNDS} interleaved "
-                        "rounds (seconds); auto is the backend the auto "
-                        "policy resolves to"
+                        "rounds (seconds); work is 2m^2/n, which auto "
+                        "compares with auto_min_work; auto is the backend "
+                        "the auto policy resolves to"
                     ),
-                    "auto_min_edges": AUTO_MIN_EDGES,
+                    "auto_min_work": AUTO_MIN_WORK,
                     "auto_tolerance": AUTO_TOLERANCE,
                     "rows": sweep,
                 },

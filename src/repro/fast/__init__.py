@@ -54,8 +54,9 @@ Backends
     By measured tiering: ``"external"`` when a ``memory_budget`` is
     configured and the estimated CSR payload exceeds it (or the graph
     has at least :data:`AUTO_EXTERNAL_MIN_EDGES` edges); else ``"csr"``
-    at or above :data:`AUTO_MIN_EDGES` edges; else ``"reference"`` — and
-    always ``"reference"`` whenever membership bookkeeping is requested.
+    once ``m`` times the average degree (``2m²/n``) reaches
+    :data:`AUTO_MIN_WORK`; else ``"reference"`` — and always
+    ``"reference"`` whenever membership bookkeeping is requested.
     ``BENCH_kernels.json`` (``benchmarks/bench_backend_kernels.py``,
     ``tier_sweep``) records the evidence on R-MAT and caveman graphs.
 """
@@ -82,7 +83,7 @@ from .peelers import IntSeq, _total, run_peel
 
 __all__ = [
     "AUTO_EXTERNAL_MIN_EDGES",
-    "AUTO_MIN_EDGES",
+    "AUTO_MIN_WORK",
     "BACKENDS",
     "BackendError",
     "CSRGraph",
@@ -116,10 +117,14 @@ BACKENDS = (
 )
 
 #: "auto" switches from the reference implementation to the CSR kernels
-#: at this edge count: below it the snapshot build costs more than the
-#: dict overhead it saves.  Set from the ``tier_sweep`` of
-#: benchmarks/bench_backend_kernels.py (``BENCH_kernels.json``).
-AUTO_MIN_EDGES = 64
+#: once ``m`` times the average degree, ``2m²/n``, reaches this value.  The
+#: reference support pass intersects both endpoints' neighbour sets for
+#: every edge, so its cost grows with that product, while the CSR kernels
+#: pay a fixed snapshot cost first; an edge count alone cannot place the
+#: crossover, which lies near 24 edges on cliques and near 48 on paths.
+#: Set from the ``tier_sweep`` of benchmarks/bench_backend_kernels.py
+#: (``BENCH_kernels.json``).
+AUTO_MIN_WORK = 128
 
 #: "auto" escalates to the out-of-core backend at this edge count even
 #: without an explicit memory budget — the point where the in-RAM
@@ -187,7 +192,8 @@ def resolve_backend(
         and estimated_payload_nbytes(graph) > memory_budget
     ):
         return "external"
-    if graph.num_edges < AUTO_MIN_EDGES:
+    m = graph.num_edges
+    if 2 * m * m < AUTO_MIN_WORK * graph.num_vertices:
         return "reference"
     return "csr"
 

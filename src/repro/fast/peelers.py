@@ -21,10 +21,12 @@ sub-round, then ascending edge id: deterministic and non-decreasing in
 kappa (any such order is valid per the paper).  The out-of-core backend
 (:mod:`repro.fast.external`) reproduces it decision for decision.
 
-Two code paths, chosen by platform: with numpy the inner loop is
-O(sub-rounds) array passes; without it a pure-python path mirrors the
-numpy one decision for decision and yields bit-identical output and
-stats, so the peel exists on every host.
+Two code paths with bit-identical output and stats.  With numpy the
+inner loop is O(sub-rounds) array passes, whose fixed cost per pass only
+pays once the graph holds :data:`NUMPY_MIN_TRIANGLES` triangles; below
+that, and on hosts without numpy, a pure-python path mirrors the numpy
+one decision for decision, its levels drawn from a bucket queue of the
+bounds, so the peel exists on every host.
 
 Stats.  When a ``stats`` dict is passed, the peel records ``executor``
 (``"vector"``), ``levels`` (distinct kappa values processed),
@@ -44,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import csr as _csr_mod
 
-__all__ = ["PeelStats", "run_peel"]
+__all__ = ["NUMPY_MIN_TRIANGLES", "PeelStats", "run_peel"]
 
 #: Per-run peel telemetry: ``{"executor": str, "levels": int,
 #: "batched_decrements": int, "bound_skips": int}``.
@@ -52,6 +54,13 @@ PeelStats = Dict[str, object]
 
 #: An int64 ``ndarray`` or a ``list`` of ints (module docstring, "Inputs").
 IntSeq = Sequence[int]
+
+#: The numpy path runs from this many triangles up.  Below it the pure
+#: path is faster: a numpy sub-round costs tens of microseconds however
+#: small its frontier, and small sparse graphs peel in many short
+#: sub-rounds (R-MAT and caveman peels from 30 to 25k triangles put the
+#: crossover between about 500 and 700 triangles).
+NUMPY_MIN_TRIANGLES = 512
 
 #: ``(kappa, order, levels, batched_decrements, bound_skips)``.
 _PeelOutput = Tuple[List[int], List[int], int, int, int]
@@ -190,18 +199,29 @@ def _peel_pure(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
         incident[c].append(t)
     consumed = bytearray(len(tri_edges) // 3)
     processed = bytearray(m)
+    # buckets[b]: the edges filed at bound b.  A lowered bound refiles its
+    # edge, so an entry is stale once its edge is processed or its bound
+    # has moved; a level reads one bucket instead of scanning all m edges.
+    top = max(bounds, default=0)
+    buckets: List[List[int]] = [[] for _ in range(top + 1)]
+    for e, b in enumerate(bounds):
+        buckets[b].append(e)
     kappa = [0] * m
     order: List[int] = []
     remaining = m
     levels = 0
     batched = 0
     skips = 0
+    level = -1
     while remaining:
-        level = min(bounds[e] for e in range(m) if not processed[e])
+        level += 1
+        frontier = sorted(
+            e for e in buckets[level] if not processed[e] and bounds[e] == level
+        )
+        buckets[level] = []
+        if not frontier:
+            continue
         levels += 1
-        frontier = [
-            e for e in range(m) if not processed[e] and bounds[e] == level
-        ]
         while frontier:
             order.extend(frontier)
             remaining -= len(frontier)
@@ -240,6 +260,7 @@ def _peel_pure(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
                     next_frontier.append(e2)
                 else:
                     bounds[e2] = lowered
+                    buckets[lowered].append(e2)
             next_frontier.sort()
             frontier = next_frontier
     return kappa, order, levels, batched, skips
@@ -267,10 +288,10 @@ def run_peel(
             "precomputed supports/triangles disagree; pass the output of "
             "supports_and_triangles(csr, record_triangles=True)"
         )
-    elif _csr_mod.np is not None:
-        output = _peel_numpy(m, supports, tri_edges)
-    else:
+    elif _csr_mod.np is None or len(tri_edges) < 3 * NUMPY_MIN_TRIANGLES:
         output = _peel_pure(m, supports, tri_edges)
+    else:
+        output = _peel_numpy(m, supports, tri_edges)
     kappa, order, levels, batched, skips = output
     if stats is not None:
         stats["executor"] = "vector"

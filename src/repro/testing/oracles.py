@@ -15,9 +15,6 @@ kappa map against every *checkpoint oracle* registered here:
     networkx's ``k_truss`` (written independently of this library),
     compared through the kappa = truss - 2 correspondence.  Skipped
     automatically when networkx is not importable.
-``csr-vec``
-    The ``csr`` oracle under its alias name — the engine resolves both to
-    the same kernels.  Opt-in (``fuzz --backend csr-vec``).
 ``external``
     The out-of-core partitioned spill backend (:mod:`repro.fast.external`)
     run on the shadow graph.  Opt-in.
@@ -50,7 +47,6 @@ from ..graph.undirected import Graph
 ORACLE_NAMES = (
     "recompute",
     "csr",
-    "csr-vec",
     "networkx",
     "external",
     "per_op",
@@ -119,7 +115,7 @@ class CheckpointOracles:
         for name in self._names:
             if name == "recompute":
                 answers[name] = self._recompute_kappa(shadow)
-            elif name in ("csr", "csr-vec"):
+            elif name == "csr":
                 answers[name] = self._engine.decompose(
                     shadow, backend=name, use_cache=False
                 ).kappa

@@ -20,7 +20,7 @@ from repro.baselines import networkx_kappa
 from repro.core import triangle_kcore_decomposition
 from repro.engine import Engine
 from repro.fast import (
-    AUTO_MIN_EDGES,
+    AUTO_MIN_WORK,
     CSRGraph,
     csr_triangle_supports,
     resolve_backend,
@@ -251,23 +251,36 @@ class TestBackendResolution:
     def test_auto_picks_by_size(self):
         small = Graph(edges=[(0, 1)])
         assert resolve_backend("auto", small) == "reference"
-        big = barabasi_albert(AUTO_MIN_EDGES // 2 + 10, 2, seed=0)
-        assert big.num_edges >= AUTO_MIN_EDGES
+        big = barabasi_albert(AUTO_MIN_WORK // 2 + 10, 2, seed=0)
+        assert 2 * big.num_edges**2 >= AUTO_MIN_WORK * big.num_vertices
         assert resolve_backend("auto", big) == "csr"
 
     @pytest.mark.parametrize(
-        "edges, expected",
+        "shape, size, expected",
         [
-            (AUTO_MIN_EDGES - 1, "reference"),
-            (AUTO_MIN_EDGES, "csr"),
-            (4 * AUTO_MIN_EDGES, "csr"),
+            # 2m²/n: star of 64 leaves 126.0, of 65 leaves 128.0;
+            # K7 (21 edges) 126, K8 (28 edges) 196.
+            ("star", 64, "reference"),
+            ("star", 65, "csr"),
+            ("clique", 7, "reference"),
+            ("clique", 8, "csr"),
         ],
     )
-    def test_auto_tiers_around_min_edges(self, numpy_mode, edges, expected):
-        star = Graph(edges=[(0, leaf) for leaf in range(1, edges + 1)])
-        assert star.num_edges == edges
-        assert resolve_backend("auto", star) == expected
-        assert Engine().resolve(None, star) == expected
+    def test_auto_tiers_around_min_work(
+        self, numpy_mode, shape, size, expected
+    ):
+        # The clique switches to csr with 28 edges, the star only with
+        # 65: the threshold weighs edges by the average degree.
+        if shape == "star":
+            graph = Graph(edges=[(0, leaf) for leaf in range(1, size + 1)])
+        else:
+            graph = complete_graph(size)
+        work = 2 * graph.num_edges**2
+        assert (work >= AUTO_MIN_WORK * graph.num_vertices) == (
+            expected == "csr"
+        )
+        assert resolve_backend("auto", graph) == expected
+        assert Engine().resolve(None, graph) == expected
 
     @pytest.mark.parametrize("backend", ["parallel", "parallel-vec"])
     def test_retired_parallel_backends_rejected(self, backend):

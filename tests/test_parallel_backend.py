@@ -25,7 +25,7 @@ import pytest
 from repro.engine import Engine, EngineStats, STATS_SCHEMA
 from repro.exceptions import BackendError, ReproError
 from repro.fast import (
-    AUTO_MIN_EDGES,
+    AUTO_MIN_WORK,
     CSRGraph,
     csr_decomposition,
     resolve_backend,
@@ -234,13 +234,17 @@ class TestFailureContract:
 
 class TestAutoPolicy:
     def test_auto_stays_in_process_below_threshold(self):
-        for edges in (AUTO_MIN_EDGES - 1, AUTO_MIN_EDGES, 8 * AUTO_MIN_EDGES):
-            graph = SimpleNamespace(num_edges=edges)
+        half = AUTO_MIN_WORK // 2
+        for edges in (half - 1, half, 8 * half):
+            graph = SimpleNamespace(num_edges=edges, num_vertices=edges)
             assert resolve_backend("auto", graph) in ("reference", "csr", "csr-vec")
 
     def test_auto_composition_without_numpy(self, monkeypatch):
         monkeypatch.setattr(csr_mod, "np", None)
-        big = SimpleNamespace(num_edges=AUTO_MIN_EDGES)
+        # m = n = AUTO_MIN_WORK / 2 puts 2m²/n exactly on the threshold.
+        big = SimpleNamespace(
+            num_edges=AUTO_MIN_WORK // 2, num_vertices=AUTO_MIN_WORK // 2
+        )
         assert resolve_backend("auto", big) == "csr"
 
     def test_membership_error_contract(self):

@@ -27,7 +27,7 @@ from repro.fast import (
     run_peel,
     supports_and_triangles,
 )
-from repro.fast import csr as csr_mod
+from repro.fast import csr as csr_mod, peelers
 from repro.fast.parallel import parallel_decomposition
 from repro.graph import Graph, complete_graph, erdos_renyi, relaxed_caveman
 
@@ -111,35 +111,54 @@ def test_csr_matches_reference_on_random_graphs(graph):
 # ------------------------------------------------------------------ #
 
 
+def both_paths(graph: Graph):
+    """``(numpy, pure)`` raw outputs, counters included, on ``graph``."""
+    csr = CSRGraph.from_graph(graph)
+    supports, tri_edges = supports_and_triangles(csr)
+    return (
+        peelers._peel_numpy(csr.num_edges, supports, tri_edges),
+        peelers._peel_pure(csr.num_edges, supports, tri_edges),
+    )
+
+
 class TestNumpyPureIdentity:
+    # The paths are called directly: run_peel sends small inputs down the
+    # pure path even with numpy, which would make a comparison through it
+    # vacuous on most of the zoo.
     @pytest.mark.skipif(csr_mod.np is None, reason="needs numpy installed")
     @pytest.mark.parametrize("name", ZOO_NAMES)
-    def test_pure_path_bit_identical_including_stats(self, name, monkeypatch):
-        graph = zoo()[name]
-        numpy_stats: dict = {}
-        numpy_out = peel_pair(graph, numpy_stats)
-        monkeypatch.setattr(csr_mod, "np", None)
-        pure_stats: dict = {}
-        pure_out = peel_pair(graph, pure_stats)
+    def test_pure_path_bit_identical_including_stats(self, name):
+        numpy_out, pure_out = both_paths(zoo()[name])
         assert pure_out == numpy_out
-        assert pure_stats == numpy_stats
 
     @settings(max_examples=50, deadline=None)
     @given(graphs())
     def test_pure_path_bit_identical_on_random_graphs(self, graph):
         if csr_mod.np is None:
             return  # only one path exists; nothing to compare
-        numpy_stats: dict = {}
-        numpy_out = peel_pair(graph, numpy_stats)
-        saved = csr_mod.np
-        csr_mod.np = None
-        try:
-            pure_stats: dict = {}
-            pure_out = peel_pair(graph, pure_stats)
-        finally:
-            csr_mod.np = saved
+        numpy_out, pure_out = both_paths(graph)
         assert pure_out == numpy_out
-        assert pure_stats == numpy_stats
+
+    @pytest.mark.skipif(csr_mod.np is None, reason="needs numpy installed")
+    @pytest.mark.parametrize(
+        "min_triangles, path", [(10, "numpy"), (11, "pure")]
+    )
+    def test_numpy_path_from_min_triangles(
+        self, monkeypatch, min_triangles, path
+    ):
+        # K5 holds 10 triangles: the numpy path runs from the threshold up.
+        taken = []
+        for name in ("numpy", "pure"):
+            real = getattr(peelers, f"_peel_{name}")
+            monkeypatch.setattr(
+                peelers,
+                f"_peel_{name}",
+                lambda *args, _n=name, _f=real: taken.append(_n) or _f(*args),
+            )
+        monkeypatch.setattr(peelers, "NUMPY_MIN_TRIANGLES", min_triangles)
+        kappa, _ = peel_pair(complete_graph(5))
+        assert taken == [path]
+        assert kappa == [3] * 10
 
 
 class TestInputForms:
