@@ -5,12 +5,15 @@ on the dblp fixture and drives it over loopback HTTP with 1, 8 and 64
 concurrent closed-loop clients at a 90/10 read/write mix — reads are
 ``GET /kappa`` on real dblp edges, writes are small ``POST /edits``
 batches toggling synthetic edges (each client owns a private vertex pool
-so batches never conflict).  Client-side wall-clock latency of every
+so batches never conflict).  A last single-client phase measures
+``GET /community`` right after a write: each round toggles one real dblp
+edge and reads the community of an endpoint, the read the service answers
+by BFS over its live maintainer.  Client-side wall-clock latency of every
 exchange feeds exact percentiles.  Two artifacts are written:
 
 * ``benchmarks/results/service.txt`` — the human-readable table;
 * ``BENCH_service.json`` at the repo root — the machine-readable record
-  CI uploads.
+  CI uploads, with the host it ran on and whether it was a smoke run.
 
 Acceptance gate: sustained read throughput must reach >= 500 requests/
 second at some concurrency level, with the p99 read latency recorded
@@ -32,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import format_table, write_report
+from common import format_table, host_info, write_report
 
 REPO_ROOT = Path(__file__).parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_service.json"
@@ -149,7 +152,31 @@ def _run_phase(port, clients, seconds, read_edges, write_fraction):
     }
 
 
-def _service_report(phase_seconds=PHASE_SECONDS):
+def _community_phase(port, seconds, read_edges):
+    """Closed loop of (toggle one dblp edge, read an endpoint's community)."""
+    from repro.service import ServiceClient
+
+    rng = random.Random("service-bench:community")
+    latencies = []
+    deadline = time.perf_counter() + seconds
+    with ServiceClient("127.0.0.1", port, timeout=60) as client:
+        while time.perf_counter() < deadline:
+            u, v = read_edges[rng.randrange(len(read_edges))]
+            client.edits([["remove", u, v]])
+            start = time.perf_counter()
+            answer = client.community(u)
+            latencies.append(time.perf_counter() - start)
+            client.edits([["add", u, v]])
+            assert not answer.degraded
+            assert answer.answered_at_version == answer.version
+    return {
+        "reads": len(latencies),
+        "community_p50_ms": _percentile_ms(latencies, 0.50),
+        "community_p95_ms": _percentile_ms(latencies, 0.95),
+    }
+
+
+def _service_report(phase_seconds=PHASE_SECONDS, *, smoke=False):
     from repro.datasets import load
     from repro.service import BackgroundServer, ServiceClient
 
@@ -174,6 +201,7 @@ def _service_report(phase_seconds=PHASE_SECONDS):
                     WRITE_FRACTION,
                 )
             )
+        community = _community_phase(server.port, phase_seconds, read_edges)
         with ServiceClient("127.0.0.1", server.port) as client:
             stats = client.stats()["service"]
 
@@ -212,6 +240,12 @@ def _service_report(phase_seconds=PHASE_SECONDS):
         f"best {best['read_rps']:.0f} req/s at {best['clients']} client(s) "
         f"(read p99 {best['read_p99_ms']:.2f} ms)"
     )
+    lines.append(
+        f"community after write: {community['reads']} reads, "
+        f"p50 {community['community_p50_ms']:.2f} ms, "
+        f"p95 {community['community_p95_ms']:.2f} ms "
+        "(BFS over the live maintainer, always at-version)"
+    )
     write_report("service", lines)
 
     BENCH_JSON.write_text(
@@ -224,6 +258,8 @@ def _service_report(phase_seconds=PHASE_SECONDS):
                     f"on {DATASET} over loopback HTTP"
                 ),
                 "command": "PYTHONPATH=src python benchmarks/bench_service.py",
+                "smoke": smoke,
+                "host": host_info(),
                 "dataset": {
                     "name": DATASET,
                     "vertices": graph.num_vertices,
@@ -236,6 +272,7 @@ def _service_report(phase_seconds=PHASE_SECONDS):
                     "read_p99_ms": best["read_p99_ms"],
                 },
                 "phases": phases,
+                "community_after_write": community,
                 "server_stats": stats,
             },
             indent=2,
@@ -257,7 +294,7 @@ def test_service_report(benchmark):
     # Short phases under pytest-benchmark: `make bench` regenerates the
     # artifacts without a 15-second wall-clock tax on the whole sweep.
     benchmark.pedantic(
-        lambda: _service_report(phase_seconds=SMOKE_SECONDS),
+        lambda: _service_report(phase_seconds=SMOKE_SECONDS, smoke=True),
         rounds=1,
         iterations=1,
     )
@@ -273,7 +310,8 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     best = _service_report(
-        phase_seconds=SMOKE_SECONDS if args.smoke else PHASE_SECONDS
+        phase_seconds=SMOKE_SECONDS if args.smoke else PHASE_SECONDS,
+        smoke=args.smoke,
     )
     print(
         f"\nBENCH_service.json written; best read throughput "

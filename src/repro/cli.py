@@ -174,11 +174,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_communities(args: argparse.Namespace) -> int:
-    from .core import CommunityIndex
+    from .core import CommunityIndex, densest_community_of_vertex
 
     engine = _make_engine(args)
     graph = _load_graph(args.graph)
-    index = CommunityIndex(graph, backend=args.backend, engine=engine)
     if args.vertex is not None:
         vertex: object = args.vertex
         if not graph.has_vertex(vertex):
@@ -186,7 +185,9 @@ def _cmd_communities(args: argparse.Namespace) -> int:
                 vertex = int(args.vertex)
             except ValueError:
                 pass
-        level, members = index.densest_community_of_vertex(vertex)
+        level, members = densest_community_of_vertex(
+            graph, vertex, backend=args.backend, engine=engine
+        )
         print(
             f"densest community of {vertex!r}: level {level} "
             f"(~{level + 2}-clique), {len(members)} vertices"
@@ -194,6 +195,7 @@ def _cmd_communities(args: argparse.Namespace) -> int:
         print("  " + ", ".join(sorted(map(str, members))[:20]))
         _emit_stats(args, engine)
         return 0
+    index = CommunityIndex(graph, backend=args.backend, engine=engine)
     level = args.level if args.level is not None else index.max_level
     communities = index.communities_at(level)
     print(f"level {level}: {len(communities)} triangle-connected communities")
@@ -961,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="degrade_after",
         metavar="DEPTH",
-        help="queue depth at which derived reads (community/hierarchy/"
+        help="queue depth at which cached derived reads (hierarchy/"
         "templates) may serve the last cached answer, marked degraded "
         "(default: never degrade)",
     )

@@ -8,7 +8,12 @@
 """
 
 from .bucket_queue import BucketQueue
-from .community import CommunityIndex, community_of_edge, community_of_vertex
+from .community import (
+    CommunityIndex,
+    community_of_edge,
+    community_of_vertex,
+    densest_community_of_vertex,
+)
 from .dynamic import DynamicTriangleKCore, KappaDelta, UpdateStats, h_index
 from .extract import (
     dense_communities,
@@ -74,6 +79,7 @@ __all__ = [
     "core_filter_for_triangle_kcore",
     "degeneracy",
     "dense_communities",
+    "densest_community_of_vertex",
     "erode_to_triangle_kcore",
     "h_index",
     "edge_ball",

@@ -4,69 +4,116 @@ The paper's visual workflow — spot a plateau, circle it, inspect the
 community — has a programmatic counterpart: *community search*.  Given a
 query vertex or edge, return the triangle-connected component of the
 level-``k`` subgraph containing it (today's "k-truss community").  Two
-access paths are provided:
+access paths answer the same queries:
 
-* :func:`community_of_edge` / :func:`community_of_vertex` — one-shot BFS
-  (no preprocessing; good for a handful of queries);
-* :class:`CommunityIndex` — one descending union-find sweep over the
-  decomposition that precomputes the communities of *every* level, making
-  each subsequent query a dictionary lookup.  Build cost
-  O(|E| + |Tri| + levels * |E| alpha); memory O(sum of kappa values).
+* :func:`community_of_edge` / :func:`community_of_vertex` /
+  :func:`densest_community_of_vertex` — one-shot BFS over any
+  ``{edge: kappa}`` map (a result, or a dynamic maintainer's live map):
+  no preprocessing, cost proportional to the explored component;
+* :class:`CommunityIndex` — one descending union-find sweep recording a
+  *merge forest* (the Kruskal-tree form of a truss community index): a
+  node per community at the deepest level it exists, its parent the
+  community it merges into further down.  Build O(|E| + |Tri| alpha);
+  memory O(|E|), at most one node and one home entry per edge.  A
+  level-``k`` query climbs at most ``max_kappa`` parents, then costs
+  O(answer).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from itertools import groupby
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
-from ..exceptions import EdgeNotFoundError, VertexNotFoundError
+from ..exceptions import EdgeNotFoundError
 from ..graph.edge import Edge, Vertex, canonical_edge
 from ..graph.undirected import Graph
-from .extract import triangle_connected_component, vertex_set_of_edges
+from .extract import kappa_map, triangle_connected_component, vertex_set_of_edges
 from .triangle_kcore import TriangleKCoreResult
 
 
 def _decompose(graph, backend, engine) -> TriangleKCoreResult:
-    """Route the default decomposition through the engine layer.
-
-    Imported lazily because :mod:`repro.engine` sits above ``repro.core``
-    in the layer stack (it imports this package's siblings).
-    """
+    # Lazy: repro.engine sits above repro.core in the layer stack.
     from ..engine import resolve_engine
 
     return resolve_engine(engine).decompose(graph, backend=backend)
 
 
-class _EdgeUnionFind:
-    """Union-find over edges with path compression + union by size."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[Edge, Edge] = {}
-        self._size: Dict[Edge, int] = {}
-
-    def add(self, edge: Edge) -> None:
-        if edge not in self._parent:
-            self._parent[edge] = edge
-            self._size[edge] = 1
-
-    def find(self, edge: Edge) -> Edge:
-        root = edge
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[edge] != root:
-            self._parent[edge], edge = root, self._parent[edge]
-        return root
-
-    def union(self, a: Edge, b: Edge) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+def community_key(members) -> tuple:
+    """Sort key of a community: largest first, then by member reprs."""
+    return (-len(members), tuple(sorted(map(repr, members))))
 
 
-class CommunityIndex:
+class _Search:
+    """Community queries answered by BFS over a graph and a kappa map
+    (:class:`CommunityIndex` swaps :meth:`_component` for its forest)."""
+
+    def __init__(self, graph: Graph, kappa: Mapping[Edge, int]) -> None:
+        self._graph = graph
+        self._kappa = kappa
+
+    def _component(self, edge: Edge, k: int) -> Set[Edge]:
+        """The level-``k`` community of ``edge`` (``kappa(edge) >= k``)."""
+        return triangle_connected_component(self._graph, self._kappa, edge, k)
+
+    def community_of_edge(
+        self, u: Vertex, v: Vertex, k: Optional[int] = None
+    ) -> Set[Edge]:
+        """Edges of the level-``k`` community containing edge ``{u, v}``.
+
+        ``k`` defaults to the edge's own kappa (its densest community).
+        Returns an empty set when the edge's kappa is below ``k`` or the
+        requested level is 0 (every edge is trivially level-0).
+        """
+        edge = canonical_edge(u, v)
+        if edge not in self._kappa:
+            raise EdgeNotFoundError(u, v)
+        if k is None:
+            k = self._kappa[edge]
+        if k <= 0 or self._kappa[edge] < k:
+            return set()
+        return self._component(edge, k)
+
+    def community_of_vertex(
+        self, vertex: Vertex, k: Optional[int] = None
+    ) -> List[Set[Vertex]]:
+        """Vertex sets of the level-``k`` communities touching ``vertex``.
+
+        ``k`` defaults to the vertex's best incident kappa.  A vertex can
+        belong to several communities at one level (two cliques meeting at
+        a shared vertex), hence the list.
+        """
+        kappa = self._kappa
+        incident = [canonical_edge(vertex, w) for w in self._graph.neighbors(vertex)]
+        if k is None:
+            k = max((kappa[e] for e in incident), default=0)
+        seen: Set[Edge] = set()
+        communities: List[Set[Vertex]] = []
+        # Visit order is free: distinct communities with equal keys have
+        # equal vertex sets, so the sorted list is the same either way.
+        for edge in incident:
+            if 0 < k <= kappa[edge] and edge not in seen:
+                edges = self._component(edge, k)
+                seen |= edges
+                communities.append(vertex_set_of_edges(edges))
+        communities.sort(key=community_key)
+        return communities
+
+    def densest_community_of_vertex(
+        self, vertex: Vertex
+    ) -> Tuple[int, Set[Vertex]]:
+        """The community of ``vertex`` at its highest level, with that level.
+
+        Returns ``(0, {vertex})`` for vertices in no triangle.
+        """
+        communities = self.community_of_vertex(vertex)
+        if not communities:
+            return 0, {vertex}
+        neighbors = self._graph.neighbors(vertex)
+        level = max(self._kappa[canonical_edge(vertex, w)] for w in neighbors)
+        return level, communities[0]
+
+
+class CommunityIndex(_Search):
     """Precomputed triangle-connected communities at every level.
 
     Examples
@@ -86,12 +133,20 @@ class CommunityIndex:
         backend: Optional[str] = None,
         engine: Optional[object] = None,
     ) -> None:
-        self._graph = graph
         self._result = (
             result if result is not None else _decompose(graph, backend, engine)
         )
-        #: level -> {edge: component root}; only levels 1..max_kappa.
-        self._labels: Dict[int, Dict[Edge, Edge]] = {}
+        super().__init__(graph, self._result.kappa)
+        # The merge forest, children before parents.  Node i is a community
+        # from level ``_level[i]`` down to ``_first[i]``, then part of
+        # ``_parent[i]`` (-1: a root, alive to level 1); ``_own[i]`` holds
+        # its edges of kappa ``_level[i]``.
+        self._level: List[int] = []
+        self._parent: List[int] = []
+        self._children: List[List[int]] = []
+        self._own: List[List[Edge]] = []
+        #: edge -> the node it joined at its own level.
+        self._home: Dict[Edge, int] = {}
         self._build()
 
     @property
@@ -103,112 +158,90 @@ class CommunityIndex:
         return self._result.max_kappa
 
     def _build(self) -> None:
-        kappa = self._result.kappa
-        by_level: Dict[int, List[Edge]] = {}
-        for edge, k in kappa.items():
-            by_level.setdefault(k, []).append(edge)
-        union_find = _EdgeUnionFind()
-        active: Set[Edge] = set()
-        for k in range(self.max_level, 0, -1):
-            for edge in by_level.get(k, ()):
-                union_find.add(edge)
-                active.add(edge)
+        kappa = self._kappa
+        ranked = sorted((e for e in kappa if kappa[e] > 0), key=kappa.get, reverse=True)
+        parent: Dict[Edge, Edge] = {}
+        size: Dict[Edge, int] = {}
+        #: union-find root -> the forest nodes its component absorbed.
+        parts: Dict[Edge, List[int]] = {}
+
+        def find(edge: Edge) -> Edge:
+            while parent[edge] != edge:  # path halving
+                parent[edge] = edge = parent[parent[edge]]
+            return edge
+
+        for k, group in groupby(ranked, key=kappa.get):
+            level_edges = list(group)
+            parent.update(zip(level_edges, level_edges))
+            size.update(dict.fromkeys(level_edges, 1))
             # Union through every triangle whose minimum level is exactly k:
             # scanning the newly activated edges' apexes covers them all.
-            for edge in by_level.get(k, ()):
+            for edge in level_edges:
                 a, b = edge
+                root = find(edge)
                 for w in self._graph.common_neighbors(a, b):
                     e1 = canonical_edge(a, w)
                     e2 = canonical_edge(b, w)
-                    if kappa[e1] >= k and kappa[e2] >= k:
-                        union_find.union(edge, e1)
-                        union_find.union(edge, e2)
-            self._labels[k] = {edge: union_find.find(edge) for edge in active}
+                    if kappa[e1] < k or kappa[e2] < k:
+                        continue
+                    for other in (e1, e2):
+                        other = find(other)
+                        if other == root:
+                            continue
+                        # Union by size, so a node id moves O(log |E|) times.
+                        if size[root] < size[other]:
+                            root, other = other, root
+                        parent[other] = root
+                        size[root] += size[other]
+                        parts.setdefault(root, []).extend(parts.pop(other, ()))
+            # Each component holding a level-k edge is a new node; the
+            # older components it absorbed become its children.
+            fresh: Dict[Edge, int] = {}
+            for edge in level_edges:
+                root = find(edge)
+                node = fresh.get(root)
+                if node is None:
+                    node = fresh[root] = len(self._level)
+                    children = parts.pop(root, [])
+                    parts[root] = [node]
+                    for child in children:
+                        self._parent[child] = node
+                    self._level.append(k)
+                    self._parent.append(-1)
+                    self._children.append(children)
+                    self._own.append([])
+                self._own[node].append(edge)
+                self._home[edge] = node
+        self._first = [self._level[p] + 1 if p >= 0 else 1 for p in self._parent]
 
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
+    def forest(self) -> Iterator[Tuple[int, int, List[Edge], List[int]]]:
+        """``(level, first_level, own edges, child ids)`` per node, in id
+        order: a node's community is its own edges plus its children's."""
+        return zip(self._level, self._first, self._own, self._children)
 
-    def community_of_edge(
-        self, u: Vertex, v: Vertex, k: Optional[int] = None
-    ) -> Set[Edge]:
-        """Edges of the level-``k`` community containing edge ``{u, v}``.
+    def _component(self, edge: Edge, k: int) -> Set[Edge]:
+        node = self._home[edge]
+        while self._first[node] > k:
+            node = self._parent[node]
+        return self._members(node)
 
-        ``k`` defaults to the edge's own kappa (its densest community).
-        Returns an empty set when the edge's kappa is below ``k`` or the
-        requested level is 0 (every edge is trivially level-0).
-        """
-        edge = canonical_edge(u, v)
-        if edge not in self._result.kappa:
-            raise EdgeNotFoundError(u, v)
-        if k is None:
-            k = self._result.kappa[edge]
-        if k <= 0 or self._result.kappa[edge] < k:
-            return set()
-        labels = self._labels[k]
-        root = labels[edge]
-        return {e for e, r in labels.items() if r == root}
+    def _members(self, node: int) -> Set[Edge]:
+        edges: Set[Edge] = set()
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            edges.update(self._own[node])
+            stack.extend(self._children[node])
+        return edges
 
     def communities_at(self, k: int) -> List[Set[Edge]]:
         """All communities of level ``k``, largest first."""
-        if k <= 0 or k > self.max_level:
-            return []
-        grouped: Dict[Edge, Set[Edge]] = {}
-        for edge, root in self._labels[k].items():
-            grouped.setdefault(root, set()).add(edge)
-        return sorted(
-            grouped.values(),
-            key=lambda c: (-len(c), tuple(sorted(map(repr, c)))),
-        )
-
-    def community_of_vertex(
-        self, vertex: Vertex, k: Optional[int] = None
-    ) -> List[Set[Vertex]]:
-        """Vertex sets of the level-``k`` communities touching ``vertex``.
-
-        ``k`` defaults to the vertex's best incident kappa.  A vertex can
-        belong to several communities at one level (two cliques meeting at
-        a shared vertex), hence the list.
-        """
-        if not self._graph.has_vertex(vertex):
-            raise VertexNotFoundError(vertex)
-        incident = [
-            canonical_edge(vertex, w) for w in self._graph.neighbors(vertex)
+        communities = [
+            self._members(node)
+            for node, (level, first) in enumerate(zip(self._level, self._first))
+            if first <= k <= level
         ]
-        if k is None:
-            k = max(
-                (self._result.kappa[e] for e in incident),
-                default=0,
-            )
-        if k <= 0:
-            return []
-        roots: Set[Edge] = set()
-        labels = self._labels.get(k, {})
-        for edge in incident:
-            if edge in labels:
-                roots.add(labels[edge])
-        communities = []
-        for root in sorted(roots, key=repr):
-            edges = {e for e, r in labels.items() if r == root}
-            communities.append(vertex_set_of_edges(edges))
-        communities.sort(key=lambda c: (-len(c), tuple(sorted(map(repr, c)))))
-        return communities
-
-    def densest_community_of_vertex(
-        self, vertex: Vertex
-    ) -> Tuple[int, Set[Vertex]]:
-        """The community of ``vertex`` at its highest level, with that level.
-
-        Returns ``(0, {vertex})`` for vertices in no triangle.
-        """
-        communities = self.community_of_vertex(vertex)
-        if not communities:
-            return 0, {vertex}
-        incident = [
-            canonical_edge(vertex, w) for w in self._graph.neighbors(vertex)
-        ]
-        k = max(self._result.kappa[e] for e in incident)
-        return k, communities[0]
+        return sorted(communities, key=community_key)
 
     def __iter__(self) -> Iterator[Tuple[int, Set[Edge]]]:
         """Iterate ``(level, edge set)`` pairs densest-level first."""
@@ -217,31 +250,24 @@ class CommunityIndex:
                 yield k, community
 
 
+def _search(graph, result, backend, engine) -> _Search:
+    if result is None:
+        result = _decompose(graph, backend, engine)
+    return _Search(graph, kappa_map(result))
+
+
 def community_of_edge(
     graph: Graph,
     u: Vertex,
     v: Vertex,
     *,
     k: Optional[int] = None,
-    result: Optional[TriangleKCoreResult] = None,
+    result: Union[TriangleKCoreResult, Mapping[Edge, int], None] = None,
     backend: Optional[str] = None,
     engine: Optional[object] = None,
 ) -> Set[Edge]:
-    """One-shot community search for an edge (BFS, no index).
-
-    Equivalent to ``CommunityIndex(graph, result).community_of_edge(u, v, k)``
-    but only explores the queried component.
-    """
-    if result is None:
-        result = _decompose(graph, backend, engine)
-    edge = canonical_edge(u, v)
-    if edge not in result.kappa:
-        raise EdgeNotFoundError(u, v)
-    if k is None:
-        k = result.kappa[edge]
-    if k <= 0 or result.kappa[edge] < k:
-        return set()
-    return triangle_connected_component(graph, result, edge, k)
+    """One-shot ``CommunityIndex.community_of_edge`` (BFS, no index)."""
+    return _search(graph, result, backend, engine).community_of_edge(u, v, k)
 
 
 def community_of_vertex(
@@ -249,28 +275,21 @@ def community_of_vertex(
     vertex: Vertex,
     *,
     k: Optional[int] = None,
-    result: Optional[TriangleKCoreResult] = None,
+    result: Union[TriangleKCoreResult, Mapping[Edge, int], None] = None,
     backend: Optional[str] = None,
     engine: Optional[object] = None,
 ) -> List[Set[Vertex]]:
-    """One-shot community search for a vertex (BFS, no index)."""
-    if result is None:
-        result = _decompose(graph, backend, engine)
-    if not graph.has_vertex(vertex):
-        raise VertexNotFoundError(vertex)
-    incident = [canonical_edge(vertex, w) for w in graph.neighbors(vertex)]
-    if k is None:
-        k = max((result.kappa[e] for e in incident), default=0)
-    if k <= 0:
-        return []
-    seen_edges: Set[Edge] = set()
-    communities: List[Set[Vertex]] = []
-    for edge in sorted(incident, key=repr):
-        if result.kappa[edge] < k or edge in seen_edges:
-            continue
-        component = triangle_connected_component(graph, result, edge, k)
-        if component:
-            seen_edges |= component
-            communities.append(vertex_set_of_edges(component))
-    communities.sort(key=lambda c: (-len(c), tuple(sorted(map(repr, c)))))
-    return communities
+    """One-shot ``CommunityIndex.community_of_vertex`` (BFS, no index)."""
+    return _search(graph, result, backend, engine).community_of_vertex(vertex, k)
+
+
+def densest_community_of_vertex(
+    graph: Graph,
+    vertex: Vertex,
+    *,
+    result: Union[TriangleKCoreResult, Mapping[Edge, int], None] = None,
+    backend: Optional[str] = None,
+    engine: Optional[object] = None,
+) -> Tuple[int, Set[Vertex]]:
+    """One-shot ``CommunityIndex.densest_community_of_vertex`` (BFS)."""
+    return _search(graph, result, backend, engine).densest_community_of_vertex(vertex)

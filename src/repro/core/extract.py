@@ -18,11 +18,22 @@ structures" the paper circles in its density plots.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Set
+from typing import Iterator, List, Mapping, Set, Union
 
 from ..graph.edge import Edge, Vertex, canonical_edge
 from ..graph.undirected import Graph
 from .triangle_kcore import TriangleKCoreResult
+
+
+def kappa_map(
+    result: Union[TriangleKCoreResult, Mapping[Edge, int]],
+) -> Mapping[Edge, int]:
+    """The ``{edge: kappa}`` map of a result, or the mapping itself.
+
+    Lets the searches below run over a plain mapping — e.g. a dynamic
+    maintainer's live kappa — without wrapping it in a result first.
+    """
+    return result.kappa if isinstance(result, TriangleKCoreResult) else result
 
 
 def level_subgraph(graph: Graph, result: TriangleKCoreResult, k: int) -> Graph:
@@ -65,7 +76,7 @@ def max_core_of_edge(
 
 def triangle_connected_component(
     graph: Graph,
-    result: TriangleKCoreResult,
+    result: Union[TriangleKCoreResult, Mapping[Edge, int]],
     start: Edge,
     k: int,
 ) -> Set[Edge]:
@@ -73,9 +84,10 @@ def triangle_connected_component(
 
     BFS over edges: from edge ``(u, v)`` we can step to ``(u, w)`` and
     ``(v, w)`` whenever the triangle ``(u, v, w)`` has all three edges at
-    :math:`\\kappa \\ge k`.
+    :math:`\\kappa \\ge k`.  ``result`` may be a plain ``{edge: kappa}``
+    mapping.
     """
-    kappa = result.kappa
+    kappa = kappa_map(result)
     if kappa.get(start, -1) < k:
         return set()
     component: Set[Edge] = {start}

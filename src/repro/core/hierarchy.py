@@ -1,24 +1,21 @@
 """The community hierarchy: how dense communities nest across levels.
 
-Level subgraphs nest (``kappa >= k+1`` edges are a subset of
-``kappa >= k`` edges), so the triangle-connected communities of all levels
+Level subgraphs nest, so the triangle-connected communities of all levels
 form a forest: a level-``k`` community contains the level-``k+1``
-communities built from its edges.  This module materializes that forest —
+communities built from its edges.  This module materializes the
+:class:`~repro.core.community.CommunityIndex` merge forest as that tree —
 the dendrogram a user descends when exploring a plot ("this broad plateau
 splits into these two tighter cliques").
-
-Built from a :class:`~repro.core.community.CommunityIndex` (one union-find
-sweep); navigation is then pure tree walking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 from ..graph.edge import Vertex
 from ..graph.undirected import Graph
-from .community import CommunityIndex
+from .community import CommunityIndex, community_key
 from .extract import vertex_set_of_edges
 from .triangle_kcore import TriangleKCoreResult
 
@@ -34,13 +31,9 @@ class CommunityNode:
 
     level: int
     edges: frozenset
-    first_level: int = 0
+    first_level: int
     children: List["CommunityNode"] = field(default_factory=list)
     parent: Optional["CommunityNode"] = None
-
-    def __post_init__(self) -> None:
-        if self.first_level == 0:
-            self.first_level = self.level
 
     @property
     def vertices(self) -> Set[Vertex]:
@@ -73,6 +66,11 @@ class CommunityNode:
         )
 
 
+def _ordered(nodes: List[CommunityNode]) -> List[CommunityNode]:
+    """Siblings in ``communities_at`` order (an only child skips the key)."""
+    return sorted(nodes, key=lambda n: community_key(n.edges)) if nodes[1:] else nodes
+
+
 class CommunityHierarchy:
     """The forest of nested triangle-connected communities.
 
@@ -98,34 +96,17 @@ class CommunityHierarchy:
     ) -> None:
         index = CommunityIndex(graph, result, backend=backend, engine=engine)
         self._result = index.result
-        self.roots: List[CommunityNode] = []
-        nodes_by_level: Dict[int, List[CommunityNode]] = {}
-        for k in range(1, index.max_level + 1):
-            nodes_by_level[k] = [
-                CommunityNode(level=k, edges=frozenset(community))
-                for community in index.communities_at(k)
-            ]
-        # Attach deepest levels first so that when a level-k node collapses
-        # an identical level-(k+1) chain link, the grandchildren it adopts
-        # are already in place.
-        for k in range(index.max_level - 1, 0, -1):
-            for node in nodes_by_level[k]:
-                for candidate in nodes_by_level.get(k + 1, []):
-                    if not candidate.edges <= node.edges:
-                        continue
-                    if candidate.edges == node.edges:
-                        # Chain link: the community survives unchanged at
-                        # the next level.  Absorb it: keep the deeper
-                        # node's level (its true density) and adopt its
-                        # children directly.
-                        node.level = candidate.level
-                        node.children.extend(candidate.children)
-                        for grandchild in candidate.children:
-                            grandchild.parent = node
-                    else:
-                        node.children.append(candidate)
-                        candidate.parent = node
-        self.roots = nodes_by_level.get(1, [])
+        # The index's merge forest is this tree: children precede parents,
+        # and a node already spans its unchanged levels.
+        nodes: List[CommunityNode] = []
+        for level, first, own, kids in index.forest():
+            children = [nodes[kid] for kid in kids]
+            edges = frozenset(own).union(*(child.edges for child in children))
+            node = CommunityNode(level, edges, first, _ordered(children))
+            for child in children:
+                child.parent = node
+            nodes.append(node)
+        self.roots = _ordered([node for node in nodes if node.parent is None])
 
     @property
     def max_level(self) -> int:
@@ -146,11 +127,9 @@ class CommunityHierarchy:
         lines: List[str] = []
 
         def visit(node: CommunityNode, depth: int) -> None:
-            span = (
-                f"level {node.level}"
-                if node.first_level == node.level
-                else f"levels {node.first_level}-{node.level}"
-            )
+            span = f"levels {node.first_level}-{node.level}"
+            if node.first_level == node.level:
+                span = f"level {node.level}"
             lines.append(
                 "  " * depth
                 + f"{span} (~{node.estimated_clique_size}-clique), "

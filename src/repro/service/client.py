@@ -332,6 +332,7 @@ class ServiceClient:
             max_level=int(doc["max_level"]),
             roots=tuple(doc["roots"]),
             degraded=bool(doc.get("degraded", False)),
+            answered_at_version=doc.get("answered_at_version"),
         )
 
     def templates(

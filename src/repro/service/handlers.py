@@ -8,10 +8,10 @@ signal failures by raising :class:`~repro.service.protocol.ServiceError`,
 which the server renders as a JSON error body with the right status.
 
 ``context.allow_stale`` is the server's degradation signal: when the
-request queue is deeper than the configured threshold, derived-artifact
-reads (community / hierarchy / templates) may be answered from the last
-materialized cache (marked ``degraded`` in the payload) instead of
-rebuilding at the current version.  ``/kappa`` is always exact.
+request queue is deeper than the configured threshold, cached derived
+reads (hierarchy / templates) may be answered from the last materialized
+cache (marked ``degraded`` in the payload) instead of rebuilding at the
+current version.  ``/kappa`` and ``/community`` are always exact.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def handle_community(
 ) -> HandlerResult:
     vertex = _require_param(request, "vertex")
     k = _int_param(request, "k")
-    return 200, state.community(vertex, k, allow_stale=context.allow_stale)
+    return 200, state.community(vertex, k)
 
 
 def handle_hierarchy(

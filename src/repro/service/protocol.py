@@ -347,3 +347,4 @@ class HierarchyAnswer:
     max_level: int
     roots: Tuple[dict, ...] = field(default_factory=tuple)
     degraded: bool = False
+    answered_at_version: Optional[int] = None

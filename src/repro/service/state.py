@@ -9,13 +9,15 @@ One :class:`ServiceState` owns everything a long-lived server needs:
   it under a single-writer lock with Rule 0 incremental repairs, so the
   per-edge kappa map is always exact at the current
   :attr:`~repro.graph.undirected.Graph.version`;
-* version-stamped caches of the *derived* artifacts (community index,
-  hierarchy payload, template detections) with an explicit staleness
-  escape hatch: when the server is lagging (queue pressure), a read may
-  be answered from the last materialized cache, marked ``degraded`` and
+* community reads answered by BFS over the maintainer's live graph and
+  kappa map — no copy, no index — so they are always at-version;
+* version-stamped caches of the other *derived* artifacts (hierarchy
+  payload, template detections) with an explicit staleness escape
+  hatch: when the server is lagging (queue pressure), a read may be
+  answered from the last materialized cache, marked ``degraded`` and
   carrying ``answered_at_version`` so clients can see exactly how far
-  behind the answer is.  Kappa reads never degrade — the maintainer is
-  updated synchronously with each write.
+  behind the answer is.  Kappa and community reads never degrade — the
+  maintainer is updated synchronously with each write.
 
 The state is deliberately independent of the HTTP layer so tests (and
 embedders) can drive it directly.
@@ -28,7 +30,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from ..core.community import CommunityIndex
+from ..core.community import community_of_vertex, densest_community_of_vertex
 from ..core.hierarchy import CommunityHierarchy, CommunityNode
 from ..engine import Engine
 from ..graph.edge import Vertex, canonical_edge
@@ -261,7 +263,6 @@ class ServiceState:
         self._edit_batches = 0
         # Derived-artifact caches, each stamped with the graph version
         # they were materialized at.
-        self._index_cache: Optional[Tuple[int, CommunityIndex]] = None
         self._hierarchy_cache: Optional[Tuple[int, dict]] = None
         self._template_cache: Dict[str, Tuple[int, dict]] = {}
 
@@ -333,51 +334,28 @@ class ServiceState:
             "answered_at_version": self.version,
         }
 
-    def _community_index(self, *, allow_stale: bool) -> Tuple[CommunityIndex, int]:
-        """The community index, rebuilt at the current version unless a
-        stale one is explicitly acceptable.  Returns (index, its version)."""
-        cached = self._index_cache
-        if cached is not None:
-            cached_version, index = cached
-            if cached_version == self.version:
-                return index, cached_version
-            if allow_stale:
-                return index, cached_version
-        # Built over a frozen snapshot of the graph: a stale serve must
-        # stay self-consistent (snapshot-time neighbors against
-        # snapshot-time kappa) while the live graph mutates in place
-        # under the incremental/batch edit strategies.
-        index = CommunityIndex(
-            self.graph.copy(), self.maintainer.result(), engine=self.engine
-        )
-        self._index_cache = (self.version, index)
-        return index, self.version
-
     def community(
-        self,
-        vertex_token: str,
-        k: Optional[int] = None,
-        *,
-        allow_stale: bool = False,
+        self, vertex_token: str, k: Optional[int] = None
     ) -> Dict[str, object]:
-        """Densest (or level-``k``) triangle-connected community of a vertex."""
+        """Densest (or level-``k``) triangle-connected community of a vertex.
+
+        A BFS over the live graph and kappa map: it runs on the dispatcher
+        between writes, so it is always at-version (never ``degraded``).
+        """
         vertex = self.resolve_vertex(vertex_token)
         if not self.graph.has_vertex(vertex):
             raise ServiceError(
                 404, ERR_NOT_FOUND, f"vertex {vertex!r} is not in the served graph"
             )
-        index, at_version = self._community_index(allow_stale=allow_stale)
-        degraded = at_version != self.version
-        if degraded:
-            self.metrics.degraded_reads += 1
+        if k is not None and k < 1:
+            raise ServiceError(400, ERR_BAD_REQUEST, f"k must be >= 1, got {k}")
+        kappa = self.maintainer.kappa
         if k is None:
-            level, members = index.densest_community_of_vertex(vertex)
+            level, members = densest_community_of_vertex(
+                self.graph, vertex, result=kappa
+            )
         else:
-            if k < 1:
-                raise ServiceError(
-                    400, ERR_BAD_REQUEST, f"k must be >= 1, got {k}"
-                )
-            communities = index.community_of_vertex(vertex, k)
+            communities = community_of_vertex(self.graph, vertex, k=k, result=kappa)
             level = k if communities else 0
             members = communities[0] if communities else set()
         return {
@@ -385,8 +363,8 @@ class ServiceState:
             "level": level,
             "members": sorted(members, key=repr),
             "version": self.version,
-            "degraded": degraded,
-            "answered_at_version": at_version,
+            "degraded": False,
+            "answered_at_version": self.version,
         }
 
     def hierarchy(self, *, allow_stale: bool = False) -> Dict[str, object]:

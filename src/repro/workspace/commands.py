@@ -278,7 +278,7 @@ def _cmd_run(ctx: ShellContext, args: List[str]) -> List[str]:
         ]
     if analysis == "communities":
         _need(rest, 2, "run communities <target> <vertex> [k]")
-        from ..core import CommunityIndex
+        from ..core import community_of_vertex, densest_community_of_vertex
 
         target, vertex = rest[0], _vertex(rest[1])
         graph = ws.resolve(target)
@@ -286,10 +286,10 @@ def _cmd_run(ctx: ShellContext, args: List[str]) -> List[str]:
             raise WorkspaceError(
                 f"vertex {vertex!r} is not in {target!r}"
             )
-        index = CommunityIndex(graph, backend=ws.backend, engine=ws.engine)
+        source = {"backend": ws.backend, "engine": ws.engine}
         if len(rest) > 2:
             k = _int(rest[2], "k")
-            communities = index.community_of_vertex(vertex, k)
+            communities = community_of_vertex(graph, vertex, k=k, **source)
             lines = [
                 f"communities of {vertex} at k={k} in {target}: "
                 f"{len(communities)}"
@@ -299,7 +299,7 @@ def _cmd_run(ctx: ShellContext, args: List[str]) -> List[str]:
             ):
                 lines.append(f"  [{i}] {_fmt_members(community)}")
             return lines
-        level, members = index.densest_community_of_vertex(vertex)
+        level, members = densest_community_of_vertex(graph, vertex, **source)
         return [
             f"densest community of {vertex} in {target}: level={level} "
             f"members={_fmt_members(members)}"

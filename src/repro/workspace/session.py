@@ -175,7 +175,7 @@ class Workspace:
         graph = self.graph_of(view.graph_name)
         members: Set[Vertex]
         if view.kind == "community":
-            from ..core import CommunityIndex
+            from ..core import community_of_vertex, densest_community_of_vertex
 
             vertex = view.params["vertex"]
             if not graph.has_vertex(vertex):
@@ -183,15 +183,15 @@ class Workspace:
                     f"view {view.name!r}: vertex {vertex!r} is not in "
                     f"graph {view.graph_name!r}"
                 )
-            index = CommunityIndex(
-                graph, backend=self.backend, engine=self.engine
-            )
+            source = {"backend": self.backend, "engine": self.engine}
             k = view.params.get("k")
             if k is None:
-                _, members = index.densest_community_of_vertex(vertex)
+                _, members = densest_community_of_vertex(graph, vertex, **source)
             else:
                 members = set()
-                for community in index.community_of_vertex(vertex, int(k)):
+                for community in community_of_vertex(
+                    graph, vertex, k=int(k), **source
+                ):
                     members |= community
         elif view.kind == "slice":
             from ..core import vertex_set_of_edges

@@ -412,13 +412,14 @@ class TestBackpressure:
 
     def test_degraded_reads_marked_and_counted(self):
         # degrade_after=0 means every dispatched read may serve stale.
+        # /hierarchy is version-cached, so it is the read that degrades.
         with BackgroundServer(
             make_fixture_graph(), degrade_after=0
         ) as server:
             with ServiceClient("127.0.0.1", server.port) as client:
-                client.community(0)  # materialize the cache at version 0
+                client.hierarchy()  # materialize the cache at version 0
                 client.edits([("add", 11, 0), ("add", 11, 1)])
-                answer = client.community(0)
+                answer = client.hierarchy()
                 assert answer.degraded
                 assert answer.answered_at_version == 0
                 assert answer.version > 0
@@ -426,6 +427,21 @@ class TestBackpressure:
                 assert stats["service"]["degraded_reads"] >= 1
                 # Kappa reads never degrade: the new triangles are visible.
                 assert client.kappa(11, 0).kappa >= 1
+
+    def test_community_never_degrades(self):
+        # Community reads are a BFS over the live maintainer: at-version
+        # even when every dispatched read may serve stale.
+        with BackgroundServer(
+            make_fixture_graph(), degrade_after=0
+        ) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client.community(0)
+                outcome = client.edits([("add", 11, 0), ("add", 11, 1)])
+                answer = client.community(11)
+                assert not answer.degraded
+                assert answer.answered_at_version == answer.version
+                assert answer.version == outcome.version > 0
+                assert {0, 1, 10, 11} <= set(answer.members)
 
     def test_exact_reads_when_not_degraded(self):
         with BackgroundServer(make_fixture_graph()) as server:
@@ -474,6 +490,37 @@ class TestServiceState:
     def test_rejects_bad_edit_strategy_config(self):
         with pytest.raises(ValueError):
             ServiceState(make_fixture_graph(), edit_strategy="nope")
+
+    def test_bad_community_level_rejected_before_any_work(self, monkeypatch):
+        import repro.core.community as community_module
+        import repro.core.extract as extract_module
+        import repro.service.state as state_module
+        from repro.service.protocol import ServiceError
+
+        state = ServiceState(make_fixture_graph())
+        calls = []
+
+        def spy(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran for an invalid request")
+
+            return record
+
+        for module, name in (
+            (state_module, "community_of_vertex"),
+            (state_module, "densest_community_of_vertex"),
+            (extract_module, "triangle_connected_component"),
+            (community_module, "triangle_connected_component"),
+        ):
+            monkeypatch.setattr(module, name, spy(name))
+        monkeypatch.setattr(
+            community_module.CommunityIndex, "__init__", spy("CommunityIndex")
+        )
+        with pytest.raises(ServiceError) as caught:
+            state.community("0", 0)
+        assert caught.value.status == 400
+        assert calls == []
 
 
 class TestDrain:
