@@ -69,9 +69,7 @@ class _Search:
             raise EdgeNotFoundError(u, v)
         if k is None:
             k = self._kappa[edge]
-        if k <= 0 or self._kappa[edge] < k:
-            return set()
-        return self._component(edge, k)
+        return self._component(edge, k) if 0 < k <= self._kappa[edge] else set()
 
     def community_of_vertex(
         self, vertex: Vertex, k: Optional[int] = None
@@ -185,7 +183,9 @@ class CommunityIndex(_Search):
                     if kappa[e1] < k or kappa[e2] < k:
                         continue
                     for other in (e1, e2):
-                        other = find(other)
+                        other = parent[other]
+                        if parent[other] != other:  # skip the call when flat
+                            other = find(other)
                         if other == root:
                             continue
                         # Union by size, so a node id moves O(log |E|) times.
