@@ -103,12 +103,10 @@ class _Search:
 
         Returns ``(0, {vertex})`` for vertices in no triangle.
         """
-        communities = self.community_of_vertex(vertex)
-        if not communities:
-            return 0, {vertex}
-        neighbors = self._graph.neighbors(vertex)
-        level = max(self._kappa[canonical_edge(vertex, w)] for w in neighbors)
-        return level, communities[0]
+        kappa, neighbors = self._kappa, self._graph.neighbors(vertex)
+        best = max((kappa[canonical_edge(vertex, w)] for w in neighbors), default=0)
+        communities = self.community_of_vertex(vertex, best)
+        return (best, communities[0]) if communities else (0, {vertex})
 
 
 class CommunityIndex(_Search):

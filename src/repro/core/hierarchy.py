@@ -127,9 +127,11 @@ class CommunityHierarchy:
         lines: List[str] = []
 
         def visit(node: CommunityNode, depth: int) -> None:
-            span = f"levels {node.first_level}-{node.level}"
-            if node.first_level == node.level:
-                span = f"level {node.level}"
+            span = (
+                f"level {node.level}"
+                if node.first_level == node.level
+                else f"levels {node.first_level}-{node.level}"
+            )
             lines.append(
                 "  " * depth
                 + f"{span} (~{node.estimated_clique_size}-clique), "
