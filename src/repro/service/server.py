@@ -65,6 +65,12 @@ from .state import ServiceState, TokenBucket
 #: How many distinct client buckets to keep before pruning the idlest.
 _MAX_CLIENT_BUCKETS = 4096
 
+#: Bytes asked of each socket read.  asyncio's default (256 KiB) is above
+#: glibc's initial mmap threshold, so unless something earlier freed a
+#: bigger block every read maps, faults in and unmaps a fresh buffer: on
+#: dblp that added ~25 us to each request, depending on heap layout.
+_READ_CHUNK = 16 * 1024
+
 
 class VersionGate:
     """Wait-for-version primitive behind ``min_version`` read fences.
@@ -272,6 +278,7 @@ class ServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        writer.transport.max_size = _READ_CHUNK
         metrics = self.state.metrics
         metrics.connections_open += 1
         metrics.connections_total += 1

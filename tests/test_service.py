@@ -192,6 +192,20 @@ class TestEdits:
                 assert served_edges == oracle_graph.num_edges
                 return outcome
 
+    def test_body_larger_than_one_socket_read(self):
+        from repro.service.server import _READ_CHUNK
+
+        # A fan of triangles on fresh vertices, sent as one batch whose
+        # body spans several of the server's socket reads.
+        ops = [["add", 0, 1000]]
+        for i in range(1000, 1900):
+            ops += [["add", 0, i + 1], ["add", i, i + 1]]
+        assert len(json.dumps({"ops": ops})) > 2 * _READ_CHUNK
+        outcome = self.run_script_and_check_oracle(
+            EditScript.from_json_obj({"ops": ops})
+        )
+        assert outcome.applied == len(ops)
+
     def test_add_edges_updates_kappa(self):
         outcome = self.run_script_and_check_oracle(
             EditScript.from_json_obj(
