@@ -36,7 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import format_table, write_report
+from common import format_table, host_info, write_report
 
 REPO_ROOT = Path(__file__).parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_batch_update.json"
@@ -101,7 +101,7 @@ def _best_of(fn, repeats):
     return result, best
 
 
-def _batch_update_report(ops, repeats=REPEATS):
+def _batch_update_report(ops, repeats=REPEATS, smoke=False):
     from repro.core import triangle_kcore_decomposition
     from repro.testing import generate
 
@@ -174,6 +174,8 @@ def _batch_update_report(ops, repeats=REPEATS):
                 "command": (
                     "PYTHONPATH=src python benchmarks/bench_batch_update.py"
                 ),
+                "smoke": smoke,
+                "host": host_info(),
                 "acceptance": {
                     "profiles": list(GATE_PROFILES),
                     "batch_ops": GATE_BATCH_OPS,
@@ -215,6 +217,7 @@ def main(argv=None):
     speedups = _batch_update_report(
         SMOKE_OPS if args.smoke else FULL_OPS,
         repeats=1 if args.smoke else REPEATS,
+        smoke=args.smoke,
     )
     print(f"\nBENCH_batch_update.json written; gate speedups {speedups}")
     return 0

@@ -40,6 +40,22 @@ All updates keep the maintainer's kappa map equal to what
 :func:`~repro.core.triangle_kcore.triangle_kcore_decomposition` would return
 on the current graph — the equivalence is enforced by randomized property
 tests in ``tests/test_dynamic.py``.
+
+**Edge-key map.**  Next to the kappa map the maintainer keeps
+``{vertex: {neighbor: edge}}`` whose values are the kappa map's *own* key
+objects.  The cascades walk a triangle ``(a, b, w)`` as ``ea[w]`` /
+``eb[w]`` (with ``ea = keys[a]``) instead of building a canonical tuple per
+side, and every kappa lookup with such a key hits the dict's identity fast
+path instead of a tuple compare.  Sync rule: the map mirrors the graph's
+adjacency exactly (isolated vertices included), and each value *is* the
+kappa key of its edge.  It is built once at construction, in one pass over
+the kappa keys; every structural write (``add_vertex``, ``add_edge``,
+``remove_edge``, ``remove_vertex``, the batch cluster path and the
+recompute path) links or unlinks its edge in the same step.  The recompute
+path copies the old kappa map and overwrites its values from the fresh
+decomposition with ``dict.update``, which keeps the copy's key objects.
+``tests/test_dynamic.py::TestEdgeKeyMap`` pins the rule on every write
+path.
 """
 
 from __future__ import annotations
@@ -236,11 +252,35 @@ class DynamicTriangleKCore:
         else:
             self._store = None
         self._expected_edges = self._graph.num_edges
+        #: ``{vertex: {neighbor: edge}}`` whose values are the kappa map's
+        #: own key objects (see the module docstring for the sync rule).
+        keys: Dict[Vertex, Dict[Vertex, Edge]] = {
+            vertex: {} for vertex in self._graph.vertices()
+        }
+        for edge in self._kappa:
+            a, b = edge
+            keys[a][b] = edge
+            keys[b][a] = edge
+        self._edge_keys = keys
         #: Active delta recorder: ``{edge: kappa before this update}`` for
         #: every edge written while the recorder is armed (None = absent).
         #: Armed by :meth:`diff_apply` so the incremental and batch paths
         #: can report an exact KappaDelta without snapshotting the map.
         self._recording: Optional[Dict[Edge, Optional[int]]] = None
+
+    def _link(self, u: Vertex, v: Vertex) -> Edge:
+        """Register the just-inserted edge ``{u, v}``; return its key."""
+        edge = canonical_edge(u, v)
+        keys = self._edge_keys
+        keys.setdefault(u, {})[v] = edge
+        keys.setdefault(v, {})[u] = edge
+        return edge
+
+    def _unlink(self, u: Vertex, v: Vertex) -> Edge:
+        """Drop the just-removed edge ``{u, v}``; return its key."""
+        keys = self._edge_keys
+        del keys[v][u]
+        return keys[u].pop(v)
 
     def _note(self, edge: Edge) -> None:
         """Remember ``edge``'s pre-update kappa, first write wins."""
@@ -303,6 +343,7 @@ class DynamicTriangleKCore:
     def add_vertex(self, vertex: Vertex) -> None:
         """Add an isolated vertex (no kappa effect)."""
         self._graph.add_vertex(vertex)
+        self._edge_keys.setdefault(vertex, {})
 
     def add_edge(self, u: Vertex, v: Vertex) -> UpdateStats:
         """Insert edge ``{u, v}`` and repair kappa values incrementally.
@@ -316,8 +357,6 @@ class DynamicTriangleKCore:
         if self._graph.has_edge(u, v):
             raise EdgeExistsError(u, v)
         stats = UpdateStats()
-        e0 = canonical_edge(u, v)
-        self._note(e0)
         if self._store is not None:
             apexes = sorted(self._store.add_edge(u, v), key=repr)
         else:
@@ -327,6 +366,8 @@ class DynamicTriangleKCore:
                 else []
             )
             self._graph.add_edge(u, v)
+        e0 = self._link(u, v)
+        self._note(e0)
         stats.edges_changed += 1
         self._expected_edges = self._graph.num_edges
         if not apexes:
@@ -337,13 +378,10 @@ class DynamicTriangleKCore:
         # triangles' side minima — achievable with *old* side values alone
         # (take H = {kappa >= k_base} + e0: every triangle of e0 whose two
         # sides sit in H lies in H, so H is a (k_base)-Triangle K-Core).
-        side_minima = [
-            min(
-                self._kappa[canonical_edge(u, w)],
-                self._kappa[canonical_edge(v, w)],
-            )
-            for w in apexes
-        ]
+        kappa = self._kappa
+        eu = self._edge_keys[u]
+        ev = self._edge_keys[v]
+        side_minima = [min(kappa[eu[w]], kappa[ev[w]]) for w in apexes]
         k_base = h_index(side_minima)
         self._kappa[e0] = k_base
 
@@ -371,27 +409,30 @@ class DynamicTriangleKCore:
         if not self._graph.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
         stats = UpdateStats()
-        e0 = canonical_edge(u, v)
-        k_e0 = self._kappa[e0]
+        kappa = self._kappa
         if self._store is not None:
             apexes = sorted(self._store.remove_edge(u, v), key=repr)
         else:
             apexes = sorted(self._graph.common_neighbors(u, v), key=repr)
             self._graph.remove_edge(u, v)
+        e0 = self._unlink(u, v)
+        k_e0 = kappa[e0]
         self._note(e0)
-        del self._kappa[e0]
+        del kappa[e0]
         stats.edges_changed += 1
         self._expected_edges = self._graph.num_edges
 
         # Seed the demotion cascade: a side edge f of a destroyed triangle
         # counted that triangle at its own level k = kappa(f) only if the
         # other two edges both had kappa >= k.
+        eu = self._edge_keys[u]
+        ev = self._edge_keys[v]
         seeds_by_level: Dict[int, Set[Edge]] = {}
         for w in apexes:
-            f1 = canonical_edge(u, w)
-            f2 = canonical_edge(v, w)
-            k1 = self._kappa[f1]
-            k2 = self._kappa[f2]
+            f1 = eu[w]
+            f2 = ev[w]
+            k1 = kappa[f1]
+            k2 = kappa[f2]
             if k1 <= min(k_e0, k2) and k1 > 0:
                 seeds_by_level.setdefault(k1, set()).add(f1)
             if k2 <= min(k_e0, k1) and k2 > 0:
@@ -408,20 +449,26 @@ class DynamicTriangleKCore:
         for neighbor in sorted(self._graph.neighbors(vertex), key=repr):
             stats.append(self.remove_edge(vertex, neighbor))
         self._graph.remove_vertex(vertex)
+        del self._edge_keys[vertex]
         return stats
 
     #: Churn fraction above which ``apply(strategy="auto")`` abandons
-    #: localized repair for one fresh Algorithm 1 run.  Re-measured with
-    #: the batch path in place (``benchmarks/bench_ablation_churn.py``
-    #: and ``bench_batch_update.py``): on scattered large-graph edits the
-    #: per-op/recompute crossover still sits between 5% and 20% churn,
-    #: and above it a recompute also beats the batched region pass — so
-    #: the 10% threshold survives re-measurement unchanged.  ``"batch"``
-    #: is deliberately never auto-selected: its measured win (5-35x over
-    #: per-op) is on coalesced replay of bursty edit scripts, a regime
-    #: the churn fraction alone cannot distinguish from scattered edits,
-    #: where per-op repair stays ahead — callers that batch edits opt in
-    #: explicitly.
+    #: localized repair for one fresh Algorithm 1 run.  Re-measured after
+    #: the edge-key map made per-op repair ~2x faster
+    #: (``benchmarks/bench_ablation_churn.py``, epinions, scattered
+    #: edits): per-op now ties the bare Algorithm 1 run at 5% churn
+    #: (0.7-1.1x over three runs, was 0.5-0.9x) and loses at 20% (0.3x).
+    #: Against the full ``apply(strategy="recompute")``, which also pays
+    #: the structural edits and the O(|E|) change count, per-op wins up
+    #: to 10% (1.2-1.3x) and loses from 15-20% (0.8-1.1x at 15%, 0.7-0.8x
+    #: at 20%).  The crossover stays inside the 5-20% bracket, and 10%
+    #: picks the faster (or a tied) strategy at every swept level, so the
+    #: threshold is unchanged.  ``"batch"`` is deliberately never
+    #: auto-selected: its measured win (10-21x over per-op at 200-op
+    #: batches, 3-5x at 50) is on coalesced replay of bursty edit
+    #: scripts, a regime the churn fraction alone cannot distinguish
+    #: from scattered edits, where per-op repair stays ahead — callers
+    #: that batch edits opt in explicitly.
     AUTO_RECOMPUTE_CHURN = 0.10
 
     #: Every strategy :meth:`apply` / :meth:`diff_apply` accept.
@@ -457,9 +504,9 @@ class DynamicTriangleKCore:
           cluster: structurally apply everything, grow the affected
           region, settle levels with a localized fixpoint (see
           :meth:`_apply_by_batch`).  Bit-identical to per-op application
-          at any batch size; wins big (5-35x over per-op) on coalesced
-          bursty edit scripts, so it is the opt-in choice for replaying
-          batched streams;
+          at any batch size; wins big (10-21x over per-op at 200-op
+          batches, 3-5x at 50) on coalesced bursty edit scripts, so it
+          is the opt-in choice for replaying batched streams;
         * ``"recompute"`` — apply the batch structurally and re-run
           Algorithm 1 once (cheapest at very high churn);
         * ``"auto"`` — incremental below :attr:`AUTO_RECOMPUTE_CHURN`
@@ -469,9 +516,9 @@ class DynamicTriangleKCore:
         Error contract: every strategy raises the same exception types for
         the same invalid ops (:class:`SelfLoopError`,
         :class:`EdgeExistsError`, :class:`EdgeNotFoundError`).  The batch
-        path pre-validates and raises *before* touching anything
-        (all-or-nothing), whereas the per-op path has already applied the
-        ops preceding the offending one.
+        and recompute paths pre-validate and raise *before* touching
+        anything (all-or-nothing), whereas the per-op path has already
+        applied the ops preceding the offending one.
 
         Returns aggregated statistics (see :class:`UpdateStats` for which
         fields each strategy fills).  This is the entry point snapshot
@@ -498,28 +545,65 @@ class DynamicTriangleKCore:
     ) -> UpdateStats:
         """Recompute path: mutate the graph, then one fresh Algorithm 1 run."""
         self._check_not_stale()
+        self._validate_ops(added, removed)
         stats = UpdateStats()
         stats.strategy = "recompute"
         stats.full_snapshots = 1
         before = self._kappa
-        if self._store is not None:
-            for u, v in removed:
-                self._store.remove_edge(u, v)
-            for u, v in added:
-                self._store.add_edge(u, v)
-        else:
-            for u, v in removed:
+        kappa = dict(before)
+        store = self._store
+        for u, v in removed:
+            if store is not None:
+                store.remove_edge(u, v)
+            else:
                 self._graph.remove_edge(u, v)
-            for u, v in added:
+            del kappa[self._unlink(u, v)]
+        for u, v in added:
+            if store is not None:
+                store.add_edge(u, v)
+            else:
                 self._graph.add_edge(u, v)
+            kappa[self._link(u, v)] = 0
         self._expected_edges = self._graph.num_edges
-        self._kappa = triangle_kcore_decomposition(self._graph).kappa
+        # update() overwrites values but keeps this dict's key objects,
+        # which are the edge-key map's, so no rebuild is needed.
+        kappa.update(triangle_kcore_decomposition(self._graph).kappa)
+        self._kappa = kappa
         stats.edges_changed = sum(
             1
             for edge, value in self._kappa.items()
             if before.get(edge) != value
         ) + sum(1 for edge in before if edge not in self._kappa)
         return stats
+
+    def _validate_ops(
+        self,
+        added: List[Tuple[Vertex, Vertex]],
+        removed: List[Tuple[Vertex, Vertex]],
+    ) -> None:
+        """Check removals-then-insertions against a simulated edge set.
+
+        Raises exactly the exception the per-op path would raise at the
+        first invalid op, but before any mutation, so the batch and
+        recompute paths are all-or-nothing.
+        """
+        graph = self._graph
+        removed_set: Set[Edge] = set()
+        for u, v in removed:
+            edge = canonical_edge(u, v)
+            if edge in removed_set or not graph.has_edge(u, v):
+                raise EdgeNotFoundError(u, v)
+            removed_set.add(edge)
+        added_set: Set[Edge] = set()
+        for u, v in added:
+            if u == v:
+                raise SelfLoopError(u)
+            edge = canonical_edge(u, v)
+            if edge in added_set or (
+                edge not in removed_set and graph.has_edge(u, v)
+            ):
+                raise EdgeExistsError(u, v)
+            added_set.add(edge)
 
     # ------------------------------------------------------------------ #
     # batch path: one affected-region pass per edit batch
@@ -570,26 +654,9 @@ class DynamicTriangleKCore:
         self._check_not_stale()
         stats = UpdateStats()
         stats.strategy = "batch"
-        graph = self._graph
-        kappa = self._kappa
 
         # Phase 1: validate the whole sequence, all-or-nothing.
-        removed_set: Set[Edge] = set()
-        for u, v in removed:
-            edge = canonical_edge(u, v)
-            if edge in removed_set or not graph.has_edge(u, v):
-                raise EdgeNotFoundError(u, v)
-            removed_set.add(edge)
-        added_set: Set[Edge] = set()
-        for u, v in added:
-            if u == v:
-                raise SelfLoopError(u)
-            edge = canonical_edge(u, v)
-            if edge in added_set or (
-                edge not in removed_set and graph.has_edge(u, v)
-            ):
-                raise EdgeExistsError(u, v)
-            added_set.add(edge)
+        self._validate_ops(added, removed)
         # Phase 1b: partition the ops into vertex-disjoint clusters
         # (union-find over op endpoints).  Kappa is a pure function of
         # the graph, so applying exact batches sequentially is exact for
@@ -636,6 +703,7 @@ class DynamicTriangleKCore:
         """Phases 2-4 of the batch path for one already-validated cluster."""
         graph = self._graph
         kappa = self._kappa
+        keys = self._edge_keys
         removed_set: Set[Edge] = {canonical_edge(u, v) for u, v in removed}
         added_set: Set[Edge] = {canonical_edge(u, v) for u, v in added}
         nR = len(removed_set)
@@ -648,11 +716,12 @@ class DynamicTriangleKCore:
         # other side g may itself be a removed edge).
         seed_edges: Set[Edge] = set()
         for u, v in removed:
-            e_r = canonical_edge(u, v)
-            k_r = kappa[e_r]
+            eu = keys[u]
+            ev = keys[v]
+            k_r = kappa[eu[v]]
             for w in graph.common_neighbors(u, v):
-                f1 = canonical_edge(u, w)
-                f2 = canonical_edge(v, w)
+                f1 = eu[w]
+                f2 = ev[w]
                 k1 = kappa[f1]
                 k2 = kappa[f2]
                 if f1 not in removed_set and 0 < k1 <= min(k_r, k2):
@@ -667,13 +736,15 @@ class DynamicTriangleKCore:
                 store.remove_edge(u, v)
             else:
                 graph.remove_edge(u, v)
-            self._note(canonical_edge(u, v))
-            del kappa[canonical_edge(u, v)]
+            edge = self._unlink(u, v)
+            self._note(edge)
+            del kappa[edge]
         for u, v in added:
             if store is not None:
                 store.add_edge(u, v)
             else:
                 graph.add_edge(u, v)
+            self._link(u, v)
         self._expected_edges = graph.num_edges
         stats.edges_changed += nR
 
@@ -688,7 +759,7 @@ class DynamicTriangleKCore:
         hi: Dict[Edge, int] = {}
         queue: List[Edge] = []
         for u, v in added:
-            edge = canonical_edge(u, v)
+            edge = keys[u][v]
             if edge in hi:
                 continue
             # A new edge's kappa is at most its triangle count.
@@ -717,9 +788,11 @@ class DynamicTriangleKCore:
             strong = 0
             solid = 0
             fa, fb = f
+            ea = keys[fa]
+            eb = keys[fb]
             for w in apexes_of(fa, fb):
-                p = canonical_edge(fa, w)
-                q = canonical_edge(fb, w)
+                p = ea[w]
+                q = eb[w]
                 up_p = hi[p] if p in hi else kappa[p] + nA
                 up_q = hi[q] if q in hi else kappa[q] + nA
                 if may_promote and up_p >= k + 1 and up_q >= k + 1:
@@ -738,9 +811,11 @@ class DynamicTriangleKCore:
             a, b = x
             hi_x = hi[x]
             lo_x = lo[x]
+            ea = keys[a]
+            eb = keys[b]
             for w in apexes_of(a, b):
-                g1 = canonical_edge(a, w)
-                g2 = canonical_edge(b, w)
+                g1 = ea[w]
+                g2 = eb[w]
                 for f, g in ((g1, g2), (g2, g1)):
                     if f in hi:
                         continue
@@ -775,10 +850,12 @@ class DynamicTriangleKCore:
         rho: Dict[Edge, int] = {}
         for edge in region:
             a, b = edge
+            ea = keys[a]
+            eb = keys[b]
             minima = []
             for w in apexes_of(a, b):
-                g1 = canonical_edge(a, w)
-                g2 = canonical_edge(b, w)
+                g1 = ea[w]
+                g2 = eb[w]
                 b1 = hi[g1] if g1 in region else kappa[g1]
                 b2 = hi[g2] if g2 in region else kappa[g2]
                 minima.append(min(b1, b2))
@@ -795,17 +872,17 @@ class DynamicTriangleKCore:
             in_pending.discard(edge)
             stats.settle_iterations += 1
             a, b = edge
-            minima = [
-                min(val(canonical_edge(a, w)), val(canonical_edge(b, w)))
-                for w in apexes_of(a, b)
-            ]
+            ea = keys[a]
+            eb = keys[b]
+            apexes = apexes_of(a, b)
+            minima = [min(val(ea[w]), val(eb[w])) for w in apexes]
             new_value = max(lo[edge], min(hi[edge], h_index(minima)))
             if new_value < rho[edge]:
                 rho[edge] = new_value
                 # Only neighbors whose value exceeds the drop can depend
                 # on this edge through a min() — re-examine them.
-                for w in apexes_of(a, b):
-                    for f in (canonical_edge(a, w), canonical_edge(b, w)):
+                for w in apexes:
+                    for f in (ea[w], eb[w]):
                         if (
                             f in region
                             and f not in in_pending
@@ -955,30 +1032,10 @@ class DynamicTriangleKCore:
         triangles instead, and ``e0`` simply counts as qualified support.
         """
         kappa = self._kappa
+        keys = self._edge_keys
         apexes_of = self._apexes
+        need = k + 1
         e0_is_candidate = kappa[e0] == k
-
-        # Each candidate's relevant triangles are computed once per pass:
-        # tris[e] lists the (g1, g2) side pairs with both sides at level
-        # >= k — the only triangles that can count toward level k + 1.
-        tris: Dict[Edge, List[tuple]] = {}
-
-        def relevant_triangles(edge: Edge) -> List[tuple]:
-            cached = tris.get(edge)
-            if cached is None:
-                a, b = edge
-                cached = []
-                for w in apexes_of(a, b):
-                    g1 = canonical_edge(a, w)
-                    g2 = canonical_edge(b, w)
-                    if kappa[g1] >= k and kappa[g2] >= k:
-                        cached.append((g1, g2))
-                tris[edge] = cached
-            return cached
-
-        def qualifies(edge: Edge, candidates: Set[Edge]) -> bool:
-            value = kappa[edge]
-            return value > k or (value == k and edge in candidates)
 
         # Grow the candidate set over level-k triangle connectivity with
         # eligibility pruning: an edge whose optimistic support (side pairs
@@ -987,43 +1044,62 @@ class DynamicTriangleKCore:
         # through it — this keeps the traversal local instead of sweeping
         # an entire level-k triangle-connected component.
         if e0_is_candidate:
-            roots = [e0]
+            stack = [e0]
         else:
             u0, v0 = e0
-            roots = []
+            eu = keys[u0]
+            ev = keys[v0]
+            stack = []
             for w in apexes_of(u0, v0):
-                f1 = canonical_edge(u0, w)
-                f2 = canonical_edge(v0, w)
-                if kappa[f1] == k and kappa[f2] >= k and f1 not in frozen:
-                    roots.append(f1)
-                if kappa[f2] == k and kappa[f1] >= k and f2 not in frozen:
-                    roots.append(f2)
+                f1 = eu[w]
+                f2 = ev[w]
+                k1 = kappa[f1]
+                k2 = kappa[f2]
+                if k1 == k and k2 >= k and f1 not in frozen:
+                    stack.append(f1)
+                if k2 == k and k1 >= k and f2 not in frozen:
+                    stack.append(f2)
 
+        # tris[e] caches, for each candidate, the triangles that can count
+        # toward level k + 1 (both sides at level >= k) as tuples
+        # (g1, g2, g1 above k, g2 above k).  Levels do not move until the
+        # pass writes its survivors, so the flags stay exact.  A side whose
+        # flag is False sits at level k and counts only while it is a
+        # candidate.
+        tris: Dict[Edge, List[tuple]] = {}
         candidates: Set[Edge] = set()
-        visited: Set[Edge] = set(roots)
-        stack: List[Edge] = list(roots)
+        visited: Set[Edge] = set(stack)
         while stack:
             edge = stack.pop()
             stats.candidates_examined += 1
-            pairs = relevant_triangles(edge)
-            optimistic = sum(
-                1
-                for g1, g2 in pairs
-                if (kappa[g1] > k or g1 not in frozen)
-                and (kappa[g2] > k or g2 not in frozen)
-            )
-            if optimistic < k + 1:
+            a, b = edge
+            ea = keys[a]
+            eb = keys[b]
+            pairs = []
+            for w in apexes_of(a, b):
+                g1 = ea[w]
+                g2 = eb[w]
+                k1 = kappa[g1]
+                k2 = kappa[g2]
+                if k1 >= k and k2 >= k:
+                    pairs.append((g1, g2, k1 > k, k2 > k))
+            optimistic = len(pairs)
+            if frozen:
+                optimistic = 0
+                for g1, g2, up1, up2 in pairs:
+                    if (up1 or g1 not in frozen) and (up2 or g2 not in frozen):
+                        optimistic += 1
+            if optimistic < need:
                 continue  # can never promote; do not expand through it
+            tris[edge] = pairs
             candidates.add(edge)
-            for g1, g2 in pairs:
-                for other in (g1, g2):
-                    if (
-                        kappa[other] == k
-                        and other not in visited
-                        and other not in frozen
-                    ):
-                        visited.add(other)
-                        stack.append(other)
+            for g1, g2, up1, up2 in pairs:
+                if not up1 and g1 not in visited and g1 not in frozen:
+                    visited.add(g1)
+                    stack.append(g1)
+                if not up2 and g2 not in visited and g2 not in frozen:
+                    visited.add(g2)
+                    stack.append(g2)
         if e0_is_candidate and e0 not in candidates:
             # The new edge itself cannot reach k + 1; no level-k edge can
             # gain support without it.
@@ -1033,33 +1109,39 @@ class DynamicTriangleKCore:
         # are above level k or are still-candidate level-k edges.  Peel
         # candidates that cannot reach k + 1 supporting triangles; survivors
         # form a genuine (k+1)-Triangle K-Core together with the >k edges.
-        support: Dict[Edge, int] = {
-            edge: sum(
-                1
-                for g1, g2 in relevant_triangles(edge)
-                if qualifies(g1, candidates) and qualifies(g2, candidates)
-            )
-            for edge in candidates
-        }
-        worklist: List[Edge] = [e for e in candidates if support[e] < k + 1]
+        support: Dict[Edge, int] = {}
+        worklist: List[Edge] = []
+        for edge in candidates:
+            count = 0
+            for g1, g2, up1, up2 in tris[edge]:
+                if (up1 or g1 in candidates) and (up2 or g2 in candidates):
+                    count += 1
+            support[edge] = count
+            if count < need:
+                worklist.append(edge)
         while worklist:
             edge = worklist.pop()
-            if edge not in candidates or support[edge] >= k + 1:
+            if edge not in candidates or support[edge] >= need:
                 continue
             candidates.discard(edge)
-            for g1, g2 in relevant_triangles(edge):
+            for g1, g2, up1, up2 in tris[edge]:
                 # The triangle counted for g1/g2 while `edge` was still a
                 # candidate; now that it is peeled, decrement survivors
                 # whose triangle remains otherwise qualified.
-                if qualifies(g1, candidates) and qualifies(g2, candidates):
-                    for other in (g1, g2):
-                        if other in candidates:
-                            support[other] -= 1
-                            if support[other] < k + 1:
-                                worklist.append(other)
+                in1 = g1 in candidates
+                in2 = g2 in candidates
+                if (up1 or in1) and (up2 or in2):
+                    if in1:
+                        support[g1] -= 1
+                        if support[g1] < need:
+                            worklist.append(g1)
+                    if in2:
+                        support[g2] -= 1
+                        if support[g2] < need:
+                            worklist.append(g2)
         for edge in candidates:
             self._note(edge)
-            kappa[edge] = k + 1
+            kappa[edge] = need
             stats.edges_changed += 1
             if edge != e0:
                 frozen.add(edge)
@@ -1077,6 +1159,7 @@ class DynamicTriangleKCore:
         (Rule 0: change is at most one per deleted edge).
         """
         kappa = self._kappa
+        keys = self._edge_keys
         apexes_of = self._apexes
         pending: List[Edge] = list(seeds)
         while pending:
@@ -1085,12 +1168,12 @@ class DynamicTriangleKCore:
                 continue
             stats.candidates_examined += 1
             a, b = edge
+            ea = keys[a]
+            eb = keys[b]
+            apexes = apexes_of(a, b)
             count = 0
-            for w in apexes_of(a, b):
-                if (
-                    kappa[canonical_edge(a, w)] >= k
-                    and kappa[canonical_edge(b, w)] >= k
-                ):
+            for w in apexes:
+                if kappa[ea[w]] >= k and kappa[eb[w]] >= k:
                     count += 1
                     if count >= k:
                         break
@@ -1100,9 +1183,9 @@ class DynamicTriangleKCore:
             kappa[edge] = k - 1
             stats.edges_changed += 1
             # The demotion may strip support from level-k neighbors.
-            for w in apexes_of(a, b):
-                g1 = canonical_edge(a, w)
-                g2 = canonical_edge(b, w)
+            for w in apexes:
+                g1 = ea[w]
+                g2 = eb[w]
                 k1 = kappa[g1]
                 k2 = kappa[g2]
                 # The triangle (edge, g1, g2) supported g1 at level k only

@@ -229,6 +229,103 @@ class TestRandomizedEquivalence:
                     assert abs(after[edge] - old_value) <= 1, edge
 
 
+def assert_edge_keys_in_sync(maintainer: DynamicTriangleKCore) -> None:
+    """The edge-key map mirrors the adjacency and reuses kappa's keys."""
+    keys = maintainer._edge_keys
+    graph = maintainer.graph
+    assert {v: set(row) for v, row in keys.items()} == {
+        v: set(graph.neighbors(v)) for v in graph.vertices()
+    }
+    assert len(maintainer.kappa) == graph.num_edges
+    for edge in maintainer.kappa:
+        a, b = edge
+        assert keys[a][b] is edge and keys[b][a] is edge, edge
+
+
+class TestEdgeKeyMap:
+    """Every write path keeps the private edge-key map in step.
+
+    A write path that forgets the map either crashes a later cascade on a
+    missing key or, worse, leaves values that are equal to kappa's keys
+    but not the same objects, which costs every lookup a tuple compare.
+    """
+
+    @pytest.mark.parametrize("store_triangles", [False, True])
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_every_write_path(self, store_triangles, copy):
+        g = erdos_renyi(24, 0.35, seed=61)
+        maintainer = DynamicTriangleKCore(
+            g, copy=copy, store_triangles=store_triangles
+        )
+        assert_edge_keys_in_sync(maintainer)
+        edges = sorted(maintainer.graph.edges())
+        absent = [
+            (u, v)
+            for u in range(24)
+            for v in range(u + 1, 24)
+            if not maintainer.graph.has_edge(u, v)
+        ]
+
+        def check():
+            assert_edge_keys_in_sync(maintainer)
+            assert_matches_static(maintainer)
+
+        maintainer.apply(added=absent[:4] + [(0, 100)], removed=edges[:4])
+        check()
+        maintainer.apply(
+            added=absent[4:8] + [edges[4]],
+            removed=edges[4:7],
+            strategy="batch",
+        )
+        check()
+        maintainer.apply(added=absent[8:10], removed=edges[7:9],
+                         strategy="recompute")
+        check()
+        for strategy in ("incremental", "batch", "recompute"):
+            maintainer.diff_apply(
+                added=edges[:2], removed=absent[:2], strategy=strategy
+            )
+            check()
+            maintainer.diff_apply(
+                added=absent[:2], removed=edges[:2], strategy=strategy
+            )
+            check()
+        maintainer.add_vertex(200)
+        check()
+        maintainer.add_edge(200, 201)
+        maintainer.remove_vertex(3)
+        check()
+        maintainer.remove_vertex(200)
+        check()
+        # An op that raises midway: the per-op path has applied the ops
+        # before it; the batch and recompute paths reject up front.
+        present = sorted(maintainer.graph.edges())[0]
+        good = next(
+            (u, v)
+            for u in range(24)
+            for v in range(u + 1, 24)
+            if u != 3 and v != 3 and not maintainer.graph.has_edge(u, v)
+        )
+        with pytest.raises(EdgeExistsError):
+            maintainer.apply(added=[good, present])
+        check()
+        assert maintainer.graph.has_edge(*good)
+        for strategy in ("batch", "recompute"):
+            with pytest.raises(EdgeNotFoundError):
+                maintainer.apply(removed=[present, good, good],
+                                 strategy=strategy)
+            check()
+            assert maintainer.graph.has_edge(*present)
+
+    def test_seed_result_keys_are_shared(self):
+        g = erdos_renyi(20, 0.3, seed=62)
+        seed = triangle_kcore_decomposition(g)
+        maintainer = DynamicTriangleKCore(g, seed_result=seed)
+        assert_edge_keys_in_sync(maintainer)
+        maintainer.add_edge(0, 50)
+        assert_edge_keys_in_sync(maintainer)
+
+
 class TestResultSnapshot:
     def test_result_wraps_current_state(self, k5):
         maintainer = DynamicTriangleKCore(k5)
@@ -295,6 +392,32 @@ class TestApplyStrategies:
         g.add_edge(0, 9)
         with pytest.raises(StaleIndexError):
             maintainer.apply(removed=[(0, 1)], strategy="recompute")
+
+    @pytest.mark.parametrize("strategy", ["recompute", "auto"])
+    def test_recompute_is_all_or_nothing_on_invalid_op(self, strategy):
+        """A bad op rejects the whole recompute batch before any mutation.
+
+        Before pre-validation the recompute path inserted (1, 3), raised
+        on the duplicate (0, 1), and left kappa and the edge count stale,
+        so the next call raised a false StaleIndexError.  Two ops on a
+        four-edge graph is 50% churn, so ``auto`` resolves to recompute.
+        """
+        maintainer = DynamicTriangleKCore(
+            Graph(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
+        )
+        before = dict(maintainer.kappa)
+        with pytest.raises(EdgeExistsError):
+            maintainer.apply(added=[(1, 3), (0, 1)], strategy=strategy)
+        with pytest.raises(EdgeNotFoundError):
+            maintainer.apply(removed=[(2, 3), (0, 3)], strategy=strategy)
+        with pytest.raises(SelfLoopError):
+            maintainer.apply(added=[(1, 3), (3, 3)], strategy=strategy)
+        assert maintainer.kappa == before
+        assert not maintainer.graph.has_edge(1, 3)
+        assert maintainer.graph.has_edge(2, 3)
+        stats = maintainer.apply(added=[(1, 3)], strategy=strategy)
+        assert stats.strategy == "recompute"
+        assert_matches_static(maintainer)
 
 
 class TestBatchStrategy:

@@ -7,6 +7,7 @@ vertex removals and batch applications, checking after every step that:
 
 * the kappa map equals a fresh Algorithm 1 run (the core guarantee);
 * the stored triangle index, when enabled, stays consistent;
+* the private edge-key map mirrors the adjacency and reuses kappa's keys;
 * queries (max_kappa, result snapshots) agree with the ground truth.
 
 This subsumes hundreds of hand-written interleaving tests.
@@ -105,6 +106,16 @@ class DynamicMaintainerMachine(RuleBasedStateMachine):
     def result_snapshot_consistent(self):
         result = self.maintainer.result()
         assert result.kappa == self.maintainer.kappa
+
+    @invariant()
+    def edge_key_map_in_sync(self):
+        keys = self.maintainer._edge_keys
+        graph = self.maintainer.graph
+        assert {v: set(row) for v, row in keys.items()} == {
+            v: set(graph.neighbors(v)) for v in graph.vertices()
+        }
+        for edge in self.maintainer.kappa:
+            assert keys[edge[0]][edge[1]] is edge
 
 
 class StoredModeMachine(DynamicMaintainerMachine):
