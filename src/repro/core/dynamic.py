@@ -60,6 +60,7 @@ path.
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..exceptions import (
@@ -252,15 +253,27 @@ class DynamicTriangleKCore:
         else:
             self._store = None
         self._expected_edges = self._graph.num_edges
+        # One dict per vertex is a burst of container allocations: every
+        # 700 of them (the default gen-0 threshold) run a cyclic-GC pass,
+        # and right after a decomposition those passes tip into a full
+        # collection of the whole heap (~20 ms on an 8k-vertex, 76k-edge
+        # graph, nearly doubling the build).  The map holds no reference
+        # cycles, so the collector is paused for the build instead.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            keys: Dict[Vertex, Dict[Vertex, Edge]] = {
+                vertex: {} for vertex in self._graph.vertices()
+            }
+            for edge in self._kappa:
+                a, b = edge
+                keys[a][b] = edge
+                keys[b][a] = edge
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         #: ``{vertex: {neighbor: edge}}`` whose values are the kappa map's
         #: own key objects (see the module docstring for the sync rule).
-        keys: Dict[Vertex, Dict[Vertex, Edge]] = {
-            vertex: {} for vertex in self._graph.vertices()
-        }
-        for edge in self._kappa:
-            a, b = edge
-            keys[a][b] = edge
-            keys[b][a] = edge
         self._edge_keys = keys
         #: Active delta recorder: ``{edge: kappa before this update}`` for
         #: every edge written while the recorder is armed (None = absent).
@@ -464,7 +477,7 @@ class DynamicTriangleKCore:
     #: at 20%).  The crossover stays inside the 5-20% bracket, and 10%
     #: picks the faster (or a tied) strategy at every swept level, so the
     #: threshold is unchanged.  ``"batch"`` is deliberately never
-    #: auto-selected: its measured win (10-21x over per-op at 200-op
+    #: auto-selected: its measured win (8-24x over per-op at 200-op
     #: batches, 3-5x at 50) is on coalesced replay of bursty edit
     #: scripts, a regime the churn fraction alone cannot distinguish
     #: from scattered edits, where per-op repair stays ahead — callers
@@ -504,7 +517,7 @@ class DynamicTriangleKCore:
           cluster: structurally apply everything, grow the affected
           region, settle levels with a localized fixpoint (see
           :meth:`_apply_by_batch`).  Bit-identical to per-op application
-          at any batch size; wins big (10-21x over per-op at 200-op
+          at any batch size; wins big (8-24x over per-op at 200-op
           batches, 3-5x at 50) on coalesced bursty edit scripts, so it
           is the opt-in choice for replaying batched streams;
         * ``"recompute"`` — apply the batch structurally and re-run

@@ -470,7 +470,7 @@ class ServiceState:
         applies Rule 0 per-op repairs through the maintainer,
         ``"batch"`` coalesces the script to its net edge diff and runs
         one affected-region pass per op cluster (the opt-in choice for
-        bursty multi-op streams, where it beats per-op repair by 3-21x),
+        bursty multi-op streams, where it beats per-op repair by 3-24x),
         ``"recompute"`` replays the script structurally and runs one
         fresh decomposition (cheapest at very high churn), ``"auto"``
         (default) mirrors the maintainer's measured tiering — recompute

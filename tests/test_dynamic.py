@@ -5,6 +5,7 @@ the maintainer's kappa map is identical to a from-scratch run of
 Algorithm 1 on the current graph.
 """
 
+import gc
 import random
 
 import pytest
@@ -324,6 +325,22 @@ class TestEdgeKeyMap:
         assert_edge_keys_in_sync(maintainer)
         maintainer.add_edge(0, 50)
         assert_edge_keys_in_sync(maintainer)
+
+    def test_build_leaves_gc_switch_as_found(self):
+        """The build pauses the cyclic GC and must restore its state."""
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            DynamicTriangleKCore(complete_graph(5))
+            assert gc.isenabled()
+            gc.disable()
+            DynamicTriangleKCore(complete_graph(5))
+            assert not gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
 
 
 class TestResultSnapshot:
