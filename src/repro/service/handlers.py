@@ -1,7 +1,8 @@
 """Endpoint handlers: parse one :class:`HttpRequest`, answer from state.
 
 Handlers are synchronous pure-ish functions ``(state, request, context) ->
-(status, payload)``; the server's dispatcher invokes them serially, which
+(status, payload)``; the server invokes them serially on its one event
+loop thread (inline on an idle server, else from the dispatcher), which
 is what makes reads consistent and writes single-writer without any
 per-structure locking.  All user-input validation lives here; handlers
 signal failures by raising :class:`~repro.service.protocol.ServiceError`,

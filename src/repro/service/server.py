@@ -2,20 +2,27 @@
 
 Architecture (pure stdlib, one process)::
 
-    connections --> admission --> bounded queue --> serial dispatcher
-                    (rate limit,                   (handlers run one at
-                     queue cap,                     a time: reads are
-                     drain gate)                    consistent, writes
-                                                    single-writer)
+    connections --> admission --> queue empty and --yes--> answer inline --+
+                    (drain gate,  dispatcher idle?         (connection     |
+                     rate limit,        | no                task)          +--> _answer
+                     queue cap)         v                                  |   (route,
+                                  bounded queue --> serial dispatcher -----+    handler)
 
 Every request is admitted (or rejected *immediately* with 429/503 —
 overload produces fast failures, never unbounded latency) and then
-answered by one dispatcher task that executes handlers serially.  On a
-single CPU-bound Python process a worker pool would add interleaving
-without adding throughput; the serial dispatcher gives the same capacity
-with strictly simpler consistency: a read admitted after a write
-*observes* that write (read-your-writes), and ``Graph.version`` echoed in
-every response makes the ordering checkable client-side.
+answered by :meth:`ServiceServer._answer`, one handler at a time.  When
+the queue is empty and the dispatcher holds no request, the connection
+task calls it inline, saving the two task switches a queued request pays
+(``queue.put`` waking the dispatcher, ``set_result`` waking the
+connection back).  Otherwise the request joins the bounded queue behind
+the requests already waiting, and the dispatcher task answers them in
+order.  Handlers are synchronous and run on the one loop thread either
+way, so both paths are equally serial.  On a single CPU-bound Python
+process a worker pool would add interleaving without adding throughput;
+serial answers give the same capacity with strictly simpler
+consistency: a read admitted after a write *observes* that write
+(read-your-writes), and ``Graph.version`` echoed in every response makes
+the ordering checkable client-side.
 
 Backpressure knobs:
 
@@ -27,6 +34,12 @@ Backpressure knobs:
   is answered 503 ``timed_out`` without running (load shedding);
 * ``degrade_after`` — queue depth beyond which derived-artifact reads
   may be served from the last materialized cache, marked ``degraded``.
+
+A keep-alive connection whose next request has not fully arrived
+``idle_timeout`` seconds after the server started reading it is closed
+with nothing written.  The deadline is one timer per connection, re-armed
+lazily when it fires early, so a request costs a clock read rather than
+a Task and a timer.
 
 ``SIGTERM``/``SIGINT`` trigger a clean drain: the listener closes, every
 already-admitted request is answered, late requests get 503
@@ -125,8 +138,33 @@ class VersionGate:
         self._waiters = []
 
 
+class _Connection:
+    """What :meth:`ServiceServer.drain` and the idle deadline see of one
+    connection.
+
+    ``busy`` means a response is being produced or written, so neither
+    may close the transport under it.  ``read_started`` is the loop time
+    at which the server began reading the next request; the idle
+    deadline is ``read_started + idle_timeout``.
+    """
+
+    __slots__ = ("writer", "busy", "read_started", "timer", "timed_out")
+
+    def __init__(self, writer: asyncio.StreamWriter, now: float) -> None:
+        self.writer = writer
+        self.busy = False
+        self.read_started = now
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.timed_out = False
+
+
 class ServiceServer:
     """One listening socket + bounded queue + serial dispatcher.
+
+    An admitted request is answered inline on its connection task when
+    nothing is queued and the dispatcher is idle (the common case: every
+    request on a server that is keeping up), and through the queue
+    otherwise; both paths run the same :meth:`_answer`.
 
     Parameters
     ----------
@@ -141,7 +179,9 @@ class ServiceServer:
     request_timeout:
         Queue-age load-shedding threshold in seconds (``None`` disables).
     idle_timeout:
-        Keep-alive connections idle longer than this are closed.
+        A connection whose next request has not fully arrived this many
+        seconds after the server started reading it is closed, with
+        nothing written.
     degrade_after:
         Queue depth at which derived reads may serve stale caches;
         ``None`` disables degradation (always rebuild at head version).
@@ -151,7 +191,8 @@ class ServiceServer:
         ``stale_replica`` (the bounded-staleness read fence).
     handler_delay:
         Artificial seconds of dispatcher sleep per request — a **testing
-        hook** to make queue pressure reproducible; leave at 0.0.
+        hook** to make queue pressure reproducible; leave at 0.0.  A
+        non-zero delay sends every request through the queue.
     """
 
     def __init__(
@@ -197,9 +238,9 @@ class ServiceServer:
             asyncio.Queue()
         )
         self._dispatcher_task: Optional[asyncio.Task] = None
-        # task -> [writer, busy]; busy means a response is being produced
-        # or written, so drain() must not close the transport under it.
-        self._connections: Dict[asyncio.Task, list] = {}
+        # True while the dispatcher holds a dequeued request.
+        self._dispatching = False
+        self._connections: Dict[asyncio.Task, _Connection] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         self._draining = False
         self._drained = asyncio.Event()
@@ -259,12 +300,12 @@ class ServiceServer:
         # get a short grace first.
         deadline = time.monotonic() + 5.0
         while (
-            any(entry[1] for entry in self._connections.values())
+            any(conn.busy for conn in self._connections.values())
             and time.monotonic() < deadline
         ):
             await asyncio.sleep(0.005)
-        for entry in list(self._connections.values()):
-            entry[0].close()
+        for conn in list(self._connections.values()):
+            conn.writer.close()
         if self._connections:
             await asyncio.gather(
                 *list(self._connections), return_exceptions=True
@@ -284,20 +325,23 @@ class ServiceServer:
         metrics.connections_total += 1
         peer = writer.get_extra_info("peername")
         client = peer[0] if isinstance(peer, tuple) else "unknown"
-        entry = [writer, False]
+        loop = asyncio.get_running_loop()
+        conn = _Connection(writer, loop.time())
+        conn.timer = loop.call_at(
+            conn.read_started + self.idle_timeout, self._idle_check, conn
+        )
         task = asyncio.current_task()
         if task is not None:
-            self._connections[task] = entry
+            self._connections[task] = conn
         try:
             while True:
-                entry[1] = False
+                conn.busy = False
+                conn.read_started = loop.time()
                 try:
-                    request = await asyncio.wait_for(
-                        read_http_request(reader), timeout=self.idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
+                    request = await read_http_request(reader)
                 except ProtocolError as error:
+                    if conn.timed_out:
+                        break
                     metrics.note_rejected("protocol")
                     writer.write(
                         render_http_response(
@@ -310,9 +354,9 @@ class ServiceServer:
                     break
                 except (ConnectionResetError, BrokenPipeError):
                     break
-                if request is None:
+                if request is None or conn.timed_out:
                     break
-                entry[1] = True
+                conn.busy = True
                 keep_alive = not request.wants_close
                 body, close_after = await self._admit_and_answer(
                     request, client
@@ -325,6 +369,8 @@ class ServiceServer:
                 if close_after or not keep_alive:
                     break
         finally:
+            if conn.timer is not None:
+                conn.timer.cancel()
             if task is not None:
                 self._connections.pop(task, None)
             metrics.connections_open -= 1
@@ -333,6 +379,26 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+
+    def _idle_check(self, conn: _Connection) -> None:
+        """The idle deadline's timer: close the connection if its current
+        read has run past ``idle_timeout``, else re-arm for the deadline
+        of the read in progress (or, mid-answer, of the next read, which
+        starts no earlier than now)."""
+        loop = self._loop
+        now = loop.time()
+        if conn.busy:
+            due = now + self.idle_timeout
+        else:
+            due = conn.read_started + self.idle_timeout
+            if due <= now:
+                # The reader sees EOF; the handler then leaves without
+                # writing (a half-read request is not answered 400).
+                conn.timer = None
+                conn.timed_out = True
+                conn.writer.close()
+                return
+        conn.timer = loop.call_at(due, self._idle_check, conn)
 
     async def _admit_and_answer(
         self, request: HttpRequest, client: str
@@ -438,10 +504,19 @@ class ServiceServer:
                 ),
                 False,
             )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        metrics.note_queued()
-        await self._queue.put((request, future, time.monotonic()))
-        status, payload, retry_after = await future
+        if (
+            not self.handler_delay
+            and not self._dispatching
+            and self._queue.empty()
+        ):
+            status, payload, retry_after = self._answer(
+                request, time.monotonic()
+            )
+        else:
+            future: asyncio.Future = asyncio.get_running_loop().create_future()
+            metrics.note_queued()
+            await self._queue.put((request, future, time.monotonic()))
+            status, payload, retry_after = await future
         return (
             render_http_response(
                 status, payload, retry_after=retry_after
@@ -471,9 +546,11 @@ class ServiceServer:
     async def _dispatch_loop(self) -> None:
         metrics = self.state.metrics
         while True:
+            self._dispatching = False
             item = await self._queue.get()
             if item is None:
                 break
+            self._dispatching = True
             request, future, enqueued = item
             metrics.note_dequeued()
             if self.handler_delay:
@@ -499,44 +576,54 @@ class ServiceServer:
                     )
                 )
                 continue
-            context = RequestContext(
-                allow_stale=(
-                    self.degrade_after is not None
-                    and self._queue.qsize() >= self.degrade_after
-                ),
-                draining=self._draining,
-            )
-            endpoint = "other"
-            error = False
-            try:
-                endpoint, handler = route(request)
-                status, payload = handler(self.state, request, context)
-                retry_after: Optional[float] = None
-            except ServiceError as exc:
-                status = exc.status
-                payload = error_payload(
-                    exc.code, exc.message, version=self.state.version
-                )
-                retry_after = exc.retry_after
-                error = True
-            except Exception:
-                traceback.print_exc(file=sys.stderr)
-                status = 500
-                payload = error_payload(
-                    ERR_INTERNAL,
-                    "unhandled error while answering the request",
-                    version=self.state.version,
-                )
-                retry_after = None
-                error = True
-            metrics.note_request(
-                endpoint, time.monotonic() - enqueued, error=error
-            )
+            answer = self._answer(request, enqueued)
             if not future.cancelled():
-                future.set_result((status, payload, retry_after))
-            # A write may have advanced the state; release matured
-            # min_version fences (no-op when nobody is waiting).
-            self.version_gate.notify(self.state.version)
+                future.set_result(answer)
+
+    def _answer(
+        self, request: HttpRequest, enqueued: float
+    ) -> Tuple[int, Dict[str, object], Optional[float]]:
+        """Run the request's handler; return (status, payload, Retry-After).
+
+        The one handler path, reached inline from a connection task or
+        from the dispatcher.  ``enqueued`` is the admission time, so the
+        recorded latency includes any queue wait.
+        """
+        metrics = self.state.metrics
+        context = RequestContext(
+            allow_stale=(
+                self.degrade_after is not None
+                and self._queue.qsize() >= self.degrade_after
+            ),
+            draining=self._draining,
+        )
+        endpoint = "other"
+        error = False
+        retry_after: Optional[float] = None
+        try:
+            endpoint, handler = route(request)
+            status, payload = handler(self.state, request, context)
+        except ServiceError as exc:
+            status = exc.status
+            payload = error_payload(
+                exc.code, exc.message, version=self.state.version
+            )
+            retry_after = exc.retry_after
+            error = True
+        except Exception:
+            traceback.print_exc(file=sys.stderr)
+            status = 500
+            payload = error_payload(
+                ERR_INTERNAL,
+                "unhandled error while answering the request",
+                version=self.state.version,
+            )
+            error = True
+        metrics.note_request(endpoint, time.monotonic() - enqueued, error=error)
+        # A write may have advanced the state; release matured
+        # min_version fences (no-op when nobody is waiting).
+        self.version_gate.notify(self.state.version)
+        return status, payload, retry_after
 
 
 # --------------------------------------------------------------------- #

@@ -537,6 +537,76 @@ class TestServiceState:
         assert calls == []
 
 
+class TestMaxKappa:
+    """``ServiceState.max_kappa`` is folded from each write's delta; after
+    every batch it must equal a full scan of the kappa map."""
+
+    STRATEGIES = ("incremental", "batch", "recompute", "auto")
+
+    @staticmethod
+    def assert_current(state, outcome):
+        expected = max(state.maintainer.kappa.values(), default=0)
+        assert outcome["max_kappa"] == expected
+        assert state.max_kappa == expected
+        assert state.health()["max_kappa"] == expected
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize(
+        "profile",
+        ["uniform", "churn", "triangle_bursts", "grow_shrink", "adversarial"],
+    )
+    def test_seeded_scripts(self, profile, strategy):
+        state = ServiceState(make_fixture_graph())
+        for seed in range(6):
+            script = generate(profile, seed=seed, n_ops=30)
+            self.assert_current(
+                state, state.apply_edits(script, strategy=strategy)
+            )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_top_level_demoted_then_deleted(self, strategy):
+        state = ServiceState(make_fixture_graph())
+        kappa = state.maintainer.kappa
+        top = [edge for edge, k in kappa.items() if k == state.max_kappa]
+        assert state.max_kappa == 3 and len(top) == 10  # the K5
+        # Dropping one K5 edge demotes the other nine from 3 to 2.
+        outcome = state.apply_edits(
+            EditScript.from_json_obj({"ops": [["remove", *top[0]]]}),
+            strategy=strategy,
+        )
+        self.assert_current(state, outcome)
+        assert outcome["max_kappa"] == 2
+        # Delete every top-level edge, level by level, down to none.
+        while state.max_kappa > 0:
+            level = state.max_kappa
+            kappa = state.maintainer.kappa
+            ops = [
+                ["remove", u, v] for (u, v), k in kappa.items() if k == level
+            ]
+            outcome = state.apply_edits(
+                EditScript.from_json_obj({"ops": ops}), strategy=strategy
+            )
+            self.assert_current(state, outcome)
+            assert outcome["max_kappa"] < level
+        # A new triangle lifts the maximum straight from the delta.
+        outcome = state.apply_edits(
+            EditScript.from_json_obj(
+                {"ops": [["add", 50, 51], ["add", 51, 52], ["add", 50, 52]]}
+            ),
+            strategy=strategy,
+        )
+        self.assert_current(state, outcome)
+        assert outcome["max_kappa"] == 1
+
+    def test_stats_graph_section_reports_it(self):
+        state = ServiceState(make_fixture_graph())
+        state.register_stats_section()
+        state.apply_edits(
+            EditScript.from_json_obj({"ops": [["remove", 0, 1]]})
+        )
+        assert state.stats()["service"]["graph"]["max_kappa"] == 2
+
+
 class TestDrain:
     def test_background_server_drains_and_stops(self):
         server = BackgroundServer(make_fixture_graph())
