@@ -466,17 +466,17 @@ class DynamicTriangleKCore:
         return stats
 
     #: Churn fraction above which ``apply(strategy="auto")`` abandons
-    #: localized repair for one fresh Algorithm 1 run.  Re-measured after
-    #: the edge-key map made per-op repair ~2x faster
-    #: (``benchmarks/bench_ablation_churn.py``, epinions, scattered
-    #: edits): per-op now ties the bare Algorithm 1 run at 5% churn
-    #: (0.7-1.1x over three runs, was 0.5-0.9x) and loses at 20% (0.3x).
-    #: Against the full ``apply(strategy="recompute")``, which also pays
-    #: the structural edits and the O(|E|) change count, per-op wins up
-    #: to 10% (1.2-1.3x) and loses from 15-20% (0.8-1.1x at 15%, 0.7-0.8x
-    #: at 20%).  The crossover stays inside the 5-20% bracket, and 10%
-    #: picks the faster (or a tied) strategy at every swept level, so the
-    #: threshold is unchanged.  ``"batch"`` is deliberately never
+    #: localized repair for one fresh Algorithm 1 run.  Calibrated
+    #: against what ``auto`` actually runs, the whole
+    #: ``apply(strategy="recompute")`` (structural edits, kappa-map copy
+    #: and change count included), in the ``apply-rc`` column of
+    #: ``benchmarks/bench_ablation_churn.py`` (epinions, scattered edits,
+    #: best of 3, fifteen runs): per-op wins 1.4-2.4x at 5% churn, ties
+    #: at 10% (0.8-1.2x) and loses from 15% (0.8-0.9x; 0.5-0.8x at 20%).
+    #: So the crossover is ~10%.  ``auto`` picks the faster arm at every
+    #: other swept level, and any threshold between 10% and 15% makes the
+    #: same picks, so the threshold is unchanged.  (Against a bare
+    #: Algorithm 1 run, per-op already loses at 10%.)  ``"batch"`` is deliberately never
     #: auto-selected: its measured win (8-24x over per-op at 200-op
     #: batches, 3-5x at 50) is on coalesced replay of bursty edit
     #: scripts, a regime the churn fraction alone cannot distinguish

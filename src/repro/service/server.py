@@ -89,9 +89,9 @@ class VersionGate:
     """Wait-for-version primitive behind ``min_version`` read fences.
 
     Connection tasks park on :meth:`wait` until the served state reaches
-    a target version; the dispatcher calls :meth:`notify` with the new
-    version after every handled request.  Waiting happens *before* a
-    request enters the serial dispatch queue, so a fenced read can never
+    a target version; :meth:`ServiceServer._answer` calls :meth:`notify`
+    with the new version after every handled request.  Waiting happens
+    *before* a request is answered or queued, so a fenced read can never
     deadlock against the very write that would satisfy it.
     """
 
@@ -238,8 +238,6 @@ class ServiceServer:
             asyncio.Queue()
         )
         self._dispatcher_task: Optional[asyncio.Task] = None
-        # True while the dispatcher holds a dequeued request.
-        self._dispatching = False
         self._connections: Dict[asyncio.Task, _Connection] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         self._draining = False
@@ -504,11 +502,10 @@ class ServiceServer:
                 ),
                 False,
             )
-        if (
-            not self.handler_delay
-            and not self._dispatching
-            and self._queue.empty()
-        ):
+        # Without handler_delay the dispatcher never yields while it holds
+        # a request (it takes an item off the queue only when it runs), so
+        # an empty queue means it is idle and nobody is ahead of us.
+        if not self.handler_delay and self._queue.empty():
             status, payload, retry_after = self._answer(
                 request, time.monotonic()
             )
@@ -546,11 +543,9 @@ class ServiceServer:
     async def _dispatch_loop(self) -> None:
         metrics = self.state.metrics
         while True:
-            self._dispatching = False
             item = await self._queue.get()
             if item is None:
                 break
-            self._dispatching = True
             request, future, enqueued = item
             metrics.note_dequeued()
             if self.handler_delay:
