@@ -471,12 +471,13 @@ class DynamicTriangleKCore:
     #: ``apply(strategy="recompute")`` (structural edits, kappa-map copy
     #: and change count included), in the ``apply-rc`` column of
     #: ``benchmarks/bench_ablation_churn.py`` (epinions, scattered edits,
-    #: best of 3, fifteen runs): per-op wins 1.4-2.4x at 5% churn, ties
-    #: at 10% (0.8-1.2x) and loses from 15% (0.8-0.9x; 0.5-0.8x at 20%).
-    #: So the crossover is ~10%.  ``auto`` picks the faster arm at every
-    #: other swept level, and any threshold between 10% and 15% makes the
-    #: same picks, so the threshold is unchanged.  (Against a bare
-    #: Algorithm 1 run, per-op already loses at 10%.)  ``"batch"`` is deliberately never
+    #: every arm best of 3, six runs): per-op wins 1.3-1.7x at 5% churn
+    #: and 1.1-1.8x at 10%, ties at 15% (0.8-1.0x) and loses at 20%
+    #: (0.8-1.0x).  So the crossover lies between 10% and 15%, and
+    #: ``auto`` picks the faster arm at every swept level but the tied
+    #: one; any threshold in that gap makes the same picks, so it is
+    #: unchanged.  (Against a bare Algorithm 1 run per-op already loses
+    #: at 10%, 0.6-1.2x.)  ``"batch"`` is deliberately never
     #: auto-selected: its measured win (8-24x over per-op at 200-op
     #: batches, 3-5x at 50) is on coalesced replay of bursty edit
     #: scripts, a regime the churn fraction alone cannot distinguish
