@@ -238,6 +238,9 @@ class ServiceServer:
             asyncio.Queue()
         )
         self._dispatcher_task: Optional[asyncio.Task] = None
+        #: Set once a request has been answered inline in the current
+        #: event-loop pass; a callback queued behind that pass clears it.
+        self._inline_this_pass = False
         self._connections: Dict[asyncio.Task, _Connection] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         self._draining = False
@@ -502,10 +505,14 @@ class ServiceServer:
                 ),
                 False,
             )
-        # Without handler_delay the dispatcher never yields while it holds
-        # a request (it takes an item off the queue only when it runs), so
-        # an empty queue means it is idle and nobody is ahead of us.
-        if not self.handler_delay and self._queue.empty():
+        # The dispatcher never yields while it holds a request (handlers,
+        # handler_delay included, are synchronous), so an empty queue
+        # means nobody is ahead of us.  Only the first request of a loop
+        # pass goes inline: the others that became ready in the same pass
+        # are a pile-up, and wait in the queue where its bounds see them.
+        if self._queue.empty() and not self._inline_this_pass:
+            self._inline_this_pass = True
+            self._loop.call_soon(self._end_inline_pass)
             status, payload, retry_after = self._answer(
                 request, time.monotonic()
             )
@@ -548,32 +555,12 @@ class ServiceServer:
                 break
             request, future, enqueued = item
             metrics.note_dequeued()
-            if self.handler_delay:
-                await asyncio.sleep(self.handler_delay)
             if future.cancelled():
                 continue
-            now = time.monotonic()
-            if (
-                self.request_timeout is not None
-                and now - enqueued > self.request_timeout
-            ):
-                metrics.note_rejected("timed_out")
-                future.set_result(
-                    (
-                        503,
-                        error_payload(
-                            ERR_TIMED_OUT,
-                            f"request waited {now - enqueued:.2f}s in queue "
-                            f"(limit {self.request_timeout:g}s)",
-                            version=self.state.version,
-                        ),
-                        1.0,
-                    )
-                )
-                continue
-            answer = self._answer(request, enqueued)
-            if not future.cancelled():
-                future.set_result(answer)
+            future.set_result(self._answer(request, enqueued))
+
+    def _end_inline_pass(self) -> None:
+        self._inline_this_pass = False
 
     def _answer(
         self, request: HttpRequest, enqueued: float
@@ -582,9 +569,27 @@ class ServiceServer:
 
         The one handler path, reached inline from a connection task or
         from the dispatcher.  ``enqueued`` is the admission time, so the
-        recorded latency includes any queue wait.
+        recorded latency, and the age ``request_timeout`` sheds on,
+        include any queue wait.
         """
         metrics = self.state.metrics
+        if self.handler_delay:
+            # Blocks the loop, as a slow synchronous handler would.
+            time.sleep(self.handler_delay)
+        if self.request_timeout is not None:
+            waited = time.monotonic() - enqueued
+            if waited > self.request_timeout:
+                metrics.note_rejected("timed_out")
+                return (
+                    503,
+                    error_payload(
+                        ERR_TIMED_OUT,
+                        f"request waited {waited:.2f}s in queue "
+                        f"(limit {self.request_timeout:g}s)",
+                        version=self.state.version,
+                    ),
+                    1.0,
+                )
         context = RequestContext(
             allow_stale=(
                 self.degrade_after is not None

@@ -2,10 +2,11 @@
 
 A request reaches its handler one of two ways: inline on its connection
 task when nothing is queued, or through the queue and the dispatcher
-(every request does when ``handler_delay > 0``).  These tests pin what
-both ways must share: the idle deadline that closes quiet keep-alive
-connections, read-your-writes across connections, in-order answers to a
-pipelined client, and identical response bodies.
+when other requests piled up in the same event-loop pass.  These tests
+pin what both ways must share: the idle deadline that closes quiet
+keep-alive connections, read-your-writes across connections, in-order
+answers to a pipelined client, identical response bodies, and a burst
+that the queue's bounds see.
 """
 
 import json
@@ -196,39 +197,46 @@ class TestIdleDeadline:
         assert proc.returncode == 0, err
 
 
-# ``handler_delay > 0`` sends every request through the queue; at 0 a
-# request that finds the queue empty is answered inline.
-PATHS = pytest.mark.parametrize(
-    "handler_delay", [0.0, 0.02], ids=["inline", "queued"]
-)
+# A request is answered inline when the queue is empty and no other
+# request was answered inline in the same event-loop pass.  A pipelined
+# request is read in the same pass as the answer before it, so requests
+# sent in one write alternate: inline, queued, inline, ...
+
+
+def queue_peak(server) -> int:
+    return server.state.stats()["service"]["queue"]["peak"]
 
 
 class TestOrderingAcrossPaths:
-    @PATHS
-    def test_read_after_write_on_another_connection(self, handler_delay):
-        with BackgroundServer(
-            make_graph(), handler_delay=handler_delay
-        ) as server:
+    @pytest.mark.parametrize("queued", ["none", "write", "read"])
+    def test_read_after_write_on_another_connection(self, queued):
+        with BackgroundServer(make_graph()) as server:
             with connect(server) as writer_sock, connect(server) as reader_sock:
                 writer, reader = Reader(writer_sock), Reader(reader_sock)
                 reader_sock.sendall(get("/kappa?u=11&v=0"))
                 assert reader.response()[0] == 404
-                writer_sock.sendall(
-                    post("/edits", {"ops": [["add", 11, 0], ["add", 11, 1]]})
-                )
+                write = post("/edits", {"ops": [["add", 11, 0], ["add", 11, 1]]})
+                if queued == "write":
+                    writer_sock.sendall(get("/healthz") + write)
+                    assert writer.response()[0] == 200
+                else:
+                    writer_sock.sendall(write)
                 status, outcome = writer.response()
                 assert status == 200
-                reader_sock.sendall(get("/kappa?u=11&v=0"))
+                read = get("/kappa?u=11&v=0")
+                if queued == "read":
+                    reader_sock.sendall(get("/healthz") + read)
+                    assert reader.response()[0] == 200
+                else:
+                    reader_sock.sendall(read)
                 status, answer = reader.response()
                 assert status == 200
                 assert answer["version"] >= outcome["version"]
                 assert answer["kappa"] == 2
+            assert queue_peak(server) == (0 if queued == "none" else 1)
 
-    @PATHS
-    def test_pipelined_requests_answered_in_order(self, handler_delay):
-        with BackgroundServer(
-            make_graph(), handler_delay=handler_delay
-        ) as server:
+    def test_pipelined_requests_answered_in_order(self):
+        with BackgroundServer(make_graph()) as server:
             with connect(server) as sock:
                 sock.sendall(
                     get("/kappa?u=0&v=1")
@@ -240,6 +248,7 @@ class TestOrderingAcrossPaths:
                 reader = Reader(sock)
                 answers = [reader.response() for _ in range(5)]
                 assert reader.wait_closed(timeout=5) < 5
+            assert queue_peak(server) == 1
         assert [status for status, _doc in answers] == [200] * 5
         first, edit, new_edge, old_edge, health = (doc for _s, doc in answers)
         assert first["kappa"] == 3 and first["version"] == 0
@@ -265,15 +274,16 @@ class TestOrderingAcrossPaths:
         get("/nope"),
     ]
 
-    def run_script(self, handler_delay):
-        with BackgroundServer(
-            make_graph(), handler_delay=handler_delay
-        ) as server:
+    def run_script(self, *, pipelined):
+        with BackgroundServer(make_graph()) as server:
             with connect(server) as sock:
                 reader = Reader(sock)
                 answers = []
+                if pipelined:
+                    sock.sendall(b"".join(self.SCRIPT))
                 for raw in self.SCRIPT:
-                    sock.sendall(raw)
+                    if not pipelined:
+                        sock.sendall(raw)
                     status, doc = reader.response()
                     doc.pop("uptime_seconds", None)
                     answers.append((status, doc))
@@ -281,12 +291,46 @@ class TestOrderingAcrossPaths:
         return answers, queue
 
     def test_inline_and_queued_bodies_identical(self):
-        inline, inline_queue = self.run_script(0.0)
-        queued, queued_queue = self.run_script(0.02)
-        assert inline == queued
+        inline, inline_queue = self.run_script(pipelined=False)
+        mixed, mixed_queue = self.run_script(pipelined=True)
+        assert inline == mixed
         assert [status for status, _doc in inline].count(200) == 11
         # queue.depth / queue.peak count only requests that waited for
-        # the dispatcher: none did on an idle server.
+        # the dispatcher: none did when each request waited for the last
+        # answer, every other one did when the script came in one write.
         assert inline_queue["peak"] == 0
-        assert queued_queue["peak"] >= 1
-        assert inline_queue["depth"] == queued_queue["depth"] == 0
+        assert mixed_queue["peak"] == 1
+        assert inline_queue["depth"] == mixed_queue["depth"] == 0
+
+
+class TestPileUp:
+    def test_burst_is_queued_and_shed_without_handler_delay(self):
+        # Eight requests become ready in one loop pass: one is answered
+        # inline, max_queue=2 wait in the queue, the other five are shed.
+        with BackgroundServer(make_graph(), max_queue=2) as server:
+            socks = [connect(server) for _ in range(8)]
+            try:
+                readers = [Reader(sock) for sock in socks]
+                for sock, reader in zip(socks, readers):
+                    sock.sendall(get("/healthz"))
+                    assert reader.response()[0] == 200
+                # Stall the loop, as one slow handler would, and send
+                # every request while it is stalled.
+                server._loop.call_soon_threadsafe(time.sleep, 0.5)
+                time.sleep(0.1)
+                for sock in socks:
+                    sock.sendall(get("/kappa?u=0&v=1"))
+                answers = [reader.response() for reader in readers]
+            finally:
+                for sock in socks:
+                    sock.close()
+            stats = server.state.stats()["service"]
+        statuses = sorted(status for status, _doc in answers)
+        assert statuses == [200] * 3 + [503] * 5
+        assert all(
+            doc["error"]["code"] == "overloaded"
+            for status, doc in answers
+            if status == 503
+        )
+        assert stats["rejected"]["overloaded"] == 5
+        assert stats["queue"]["peak"] == 2
