@@ -280,6 +280,8 @@ class DynamicTriangleKCore:
         #: Armed by :meth:`diff_apply` so the incremental and batch paths
         #: can report an exact KappaDelta without snapshotting the map.
         self._recording: Optional[Dict[Edge, Optional[int]]] = None
+        #: ``(graph version, largest kappa)`` — see :attr:`max_kappa`.
+        self._max_kappa: Optional[Tuple[int, int]] = None
 
     def _link(self, u: Vertex, v: Vertex) -> Edge:
         """Register the just-inserted edge ``{u, v}``; return its key."""
@@ -347,7 +349,50 @@ class DynamicTriangleKCore:
 
     @property
     def max_kappa(self) -> int:
-        return max(self._kappa.values(), default=0)
+        """Largest kappa in the graph (0 without triangles).
+
+        Cached with the graph version it was taken at.  :meth:`diff_apply`
+        advances the cache from its delta in O(delta) and vertex-only
+        writes carry it over; after any other write (or a write an edge
+        at the old maximum lost) the next read rescans the map once.
+        """
+        cached = self._max_kappa
+        version = self._graph.version
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        value = max(self._kappa.values(), default=0)
+        self._max_kappa = (version, value)
+        return value
+
+    def _carry_max_kappa(self, version: int) -> None:
+        """Re-stamp a cache taken at ``version`` after a kappa-neutral
+        write (one that only added or dropped an isolated vertex)."""
+        cached = self._max_kappa
+        if cached is not None and cached[0] == version:
+            self._max_kappa = (self._graph.version, cached[1])
+
+    def _fold_max_kappa(self, version: int, delta: "KappaDelta") -> None:
+        """Advance a cache taken at ``version`` past one write's delta."""
+        cached = self._max_kappa
+        if cached is None or cached[0] != version:
+            return
+        old_max = cached[1]
+        rising = max(
+            max(delta.created.values(), default=0),
+            max((new for _old, new in delta.promoted.values()), default=0),
+        )
+        if rising >= old_max:
+            new_max = rising
+        elif old_max in delta.deleted.values() or any(
+            old == old_max for old, _new in delta.demoted.values()
+        ):
+            # An edge at the old maximum fell: nothing short of a scan
+            # says where the maximum is now.
+            self._max_kappa = None
+            return
+        else:
+            new_max = old_max
+        self._max_kappa = (self._graph.version, new_max)
 
     # ------------------------------------------------------------------ #
     # write API
@@ -355,8 +400,10 @@ class DynamicTriangleKCore:
 
     def add_vertex(self, vertex: Vertex) -> None:
         """Add an isolated vertex (no kappa effect)."""
+        version = self._graph.version
         self._graph.add_vertex(vertex)
         self._edge_keys.setdefault(vertex, {})
+        self._carry_max_kappa(version)
 
     def add_edge(self, u: Vertex, v: Vertex) -> UpdateStats:
         """Insert edge ``{u, v}`` and repair kappa values incrementally.
@@ -461,8 +508,10 @@ class DynamicTriangleKCore:
         stats: List[UpdateStats] = []
         for neighbor in sorted(self._graph.neighbors(vertex), key=repr):
             stats.append(self.remove_edge(vertex, neighbor))
+        version = self._graph.version
         self._graph.remove_vertex(vertex)
         del self._edge_keys[vertex]
+        self._carry_max_kappa(version)
         return stats
 
     #: Churn fraction above which ``apply(strategy="auto")`` abandons
@@ -942,8 +991,15 @@ class DynamicTriangleKCore:
         the edges they actually write — O(changed) bookkeeping, no copy of
         the kappa map (``stats.full_snapshots`` stays 0).  Only the
         recompute fallback diffs full maps, because Algorithm 1 replaces
-        the map wholesale.
+        the map wholesale.  The delta also keeps :attr:`max_kappa`
+        current without a scan.
         """
+        version = self._graph.version
+        delta = self._diff_apply(added, removed, strategy)
+        self._fold_max_kappa(version, delta)
+        return delta
+
+    def _diff_apply(self, added, removed, strategy: str) -> KappaDelta:
         added = list(added)
         removed = list(removed)
         strategy = self._resolve_strategy(strategy, len(added) + len(removed))

@@ -265,8 +265,6 @@ class ServiceState:
         # they were materialized at.
         self._hierarchy_cache: Optional[Tuple[int, dict]] = None
         self._template_cache: Dict[str, Tuple[int, dict]] = {}
-        # (version, largest kappa) — see max_kappa.
-        self._max_kappa: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------ #
     # identity / versioning
@@ -281,44 +279,6 @@ class ServiceState:
     def version(self) -> int:
         """Monotonic version of the served state (echoed in responses)."""
         return self.graph.version
-
-    @property
-    def max_kappa(self) -> int:
-        """Largest kappa in the served graph.
-
-        Kept current by :meth:`apply_edits` from each write's
-        :class:`~repro.core.dynamic.KappaDelta`, so reads cost O(1) and a
-        write O(delta).  The map is rescanned only when a write deletes
-        or demotes an edge at the old maximum, after the recompute path
-        swaps the maintainer, or when the graph moved by some other route
-        (the cache is stamped with the version it was taken at).
-        """
-        cached = self._max_kappa
-        version = self.version
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        value = max(self.maintainer.kappa.values(), default=0)
-        self._max_kappa = (version, value)
-        return value
-
-    def _fold_max_kappa(self, old_max: int, delta) -> None:
-        """Advance the cached maximum past one write's ``delta``."""
-        rising = max(
-            max(delta.created.values(), default=0),
-            max((new for _old, new in delta.promoted.values()), default=0),
-        )
-        if rising >= old_max:
-            new_max = rising
-        elif old_max in delta.deleted.values() or any(
-            old == old_max for old, _new in delta.demoted.values()
-        ):
-            # An edge at the old maximum fell: nothing short of a scan
-            # says where the maximum is now.
-            self._max_kappa = None
-            return
-        else:
-            new_max = old_max
-        self._max_kappa = (self.version, new_max)
 
     def resolve_vertex(self, token: str) -> Vertex:
         """Interpret a query-string token as a vertex of the served graph.
@@ -346,7 +306,7 @@ class ServiceState:
             "answered_at_version": self.version,
             "vertices": self.graph.num_vertices,
             "edges": self.graph.num_edges,
-            "max_kappa": self.max_kappa,
+            "max_kappa": self.maintainer.max_kappa,
             "uptime_seconds": round(self.metrics.uptime_seconds(), 3),
             "backend": self.backend,
             "draining": draining,
@@ -561,10 +521,8 @@ class ServiceState:
                     elif value < old:
                         demoted += 1
             else:
-                old_max = self.max_kappa
                 co = coalesce(maintainer.graph, script)
                 delta = apply_coalesced(maintainer, co, strategy=strategy)
-                self._fold_max_kappa(old_max, delta)
                 applied = co.applied
                 rejected = co.rejected
                 created = len(delta.created)
@@ -592,7 +550,7 @@ class ServiceState:
                     "promoted": promoted,
                     "demoted": demoted,
                 },
-                "max_kappa": self.max_kappa,
+                "max_kappa": maintainer.max_kappa,
             }
 
     def _replay_by_recompute(
@@ -643,7 +601,7 @@ class ServiceState:
                 "vertices": self.graph.num_vertices,
                 "edges": self.graph.num_edges,
                 "version": self.version,
-                "max_kappa": self.max_kappa,
+                "max_kappa": self.maintainer.max_kappa,
             }
             payload["edits"] = {
                 "batches": self._edit_batches,

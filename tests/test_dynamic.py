@@ -641,6 +641,75 @@ class TestDiffApply:
         assert all(k == 1 for k in delta.created.values())
 
 
+class TestMaxKappa:
+    """``max_kappa`` is cached; every write path must leave it equal to a
+    full scan of the kappa map."""
+
+    @staticmethod
+    def scan(maintainer):
+        return max(maintainer.kappa.values(), default=0)
+
+    @pytest.mark.parametrize("strategy", DynamicTriangleKCore.STRATEGIES)
+    def test_matches_a_scan_after_every_write(self, strategy):
+        rng = random.Random(11)
+        maintainer = DynamicTriangleKCore(erdos_renyi(24, 0.35, seed=11))
+        for step in range(60):
+            graph = maintainer.graph
+            vertices = sorted(graph.vertices())
+            edges = sorted(graph.edges())
+            kind = rng.choice(["diff", "apply", "edge", "vertex"])
+            if kind in ("diff", "apply"):
+                removed = rng.sample(edges, min(len(edges), rng.randint(0, 5)))
+                added = set()
+                for _ in range(rng.randint(0, 5)):
+                    u, v = rng.sample(vertices, 2)
+                    if not graph.has_edge(u, v):
+                        added.add((min(u, v), max(u, v)))
+                call = maintainer.diff_apply if kind == "diff" else maintainer.apply
+                call(added=sorted(added), removed=removed, strategy=strategy)
+            elif kind == "edge":
+                u, v = rng.sample(vertices, 2)
+                if graph.has_edge(u, v):
+                    maintainer.remove_edge(u, v)
+                else:
+                    maintainer.add_edge(u, v)
+            elif step % 2:
+                maintainer.add_vertex(100 + step)
+            else:
+                maintainer.remove_vertex(rng.choice(vertices))
+            assert maintainer.max_kappa == self.scan(maintainer)
+
+    @pytest.mark.parametrize("strategy", DynamicTriangleKCore.STRATEGIES)
+    def test_top_level_demoted_then_deleted(self, strategy):
+        g = complete_graph(6)
+        g.add_edge(10, 11)
+        g.add_edge(11, 12)
+        g.add_edge(10, 12)
+        maintainer = DynamicTriangleKCore(g)
+        assert maintainer.max_kappa == 4
+        # One K6 edge out demotes the other fourteen.
+        maintainer.diff_apply(removed=[(0, 1)], strategy=strategy)
+        assert maintainer.max_kappa == self.scan(maintainer) == 3
+        while maintainer.max_kappa > 0:
+            level = maintainer.max_kappa
+            top = [e for e, k in maintainer.kappa.items() if k == level]
+            maintainer.diff_apply(removed=top, strategy=strategy)
+            assert maintainer.max_kappa == self.scan(maintainer) < level
+
+    def test_delta_advances_the_cache_without_a_scan(self):
+        maintainer = DynamicTriangleKCore(complete_graph(5))
+        assert maintainer.max_kappa == 3
+        maintainer.diff_apply(added=[(10, 11), (11, 12), (10, 12)])
+        assert maintainer._max_kappa == (maintainer.graph.version, 3)
+        maintainer.add_vertex(99)
+        maintainer.remove_vertex(99)
+        assert maintainer._max_kappa == (maintainer.graph.version, 3)
+        # An edge at the maximum fell: only a scan can tell the new one.
+        maintainer.diff_apply(removed=[(0, 1)])
+        assert maintainer._max_kappa is None
+        assert maintainer.max_kappa == 2
+
+
 class TestSoak:
     def test_long_random_soak_all_modes(self):
         """300 mixed operations across both store modes, verified at the
