@@ -2,27 +2,30 @@
 
 Architecture (pure stdlib, one process)::
 
-    connections --> admission --> queue empty and --yes--> answer inline --+
-                    (drain gate,  dispatcher idle?         (connection     |
-                     rate limit,        | no                task)          +--> _answer
-                     queue cap)         v                                  |   (route,
-                                  bounded queue --> serial dispatcher -----+    handler)
+    connections --> admission --> queue empty and  --yes--> answer inline --+
+                    (drain gate,  first request of          (connection     |
+                     rate limit,  this loop pass?            task)          +--> _answer
+                     queue cap)         | no                                |   (route,
+                                        v                                   |    handler)
+                                  bounded queue --> serial dispatcher ------+
 
 Every request is admitted (or rejected *immediately* with 429/503 —
 overload produces fast failures, never unbounded latency) and then
-answered by :meth:`ServiceServer._answer`, one handler at a time.  When
-the queue is empty and the dispatcher holds no request, the connection
-task calls it inline, saving the two task switches a queued request pays
-(``queue.put`` waking the dispatcher, ``set_result`` waking the
-connection back).  Otherwise the request joins the bounded queue behind
-the requests already waiting, and the dispatcher task answers them in
-order.  Handlers are synchronous and run on the one loop thread either
-way, so both paths are equally serial.  On a single CPU-bound Python
-process a worker pool would add interleaving without adding throughput;
-serial answers give the same capacity with strictly simpler
-consistency: a read admitted after a write *observes* that write
-(read-your-writes), and ``Graph.version`` echoed in every response makes
-the ordering checkable client-side.
+answered by :meth:`ServiceServer._answer`, one handler at a time.  The
+first request to become ready in an event-loop pass, when nothing is
+queued, is answered inline by its connection task, saving the two task
+switches a queued request pays (``queue.put`` waking the dispatcher,
+``set_result`` waking the connection back).  Every other request that
+became ready in the same pass is a pile-up: it joins the bounded queue
+behind the requests already waiting, and the dispatcher task answers
+them in order, so the queue cap, queue-age shedding and degradation see
+a burst however fast the handlers are.  Handlers are synchronous and run
+on the one loop thread either way, so both paths are equally serial.
+On a single CPU-bound Python process a worker pool would add
+interleaving without adding throughput; serial answers give the same
+capacity with strictly simpler consistency: a read admitted after a
+write *observes* that write (read-your-writes), and ``Graph.version``
+echoed in every response makes the ordering checkable client-side.
 
 Backpressure knobs:
 
@@ -30,8 +33,9 @@ Backpressure knobs:
   with ``Retry-After`` instead of queueing (bounded worst-case latency);
 * ``rate_limit``/``rate_burst`` — per-client token bucket, 429 on empty
   (``/healthz`` is exempt so monitoring never starves);
-* ``request_timeout`` — a request that waited in queue longer than this
-  is answered 503 ``timed_out`` without running (load shedding);
+* ``request_timeout`` — a request that waited longer than this for its
+  handler (in the queue, behind the answers ahead of it) is answered 503
+  ``timed_out`` without running (load shedding);
 * ``degrade_after`` — queue depth beyond which derived-artifact reads
   may be served from the last materialized cache, marked ``degraded``.
 
@@ -162,9 +166,10 @@ class ServiceServer:
     """One listening socket + bounded queue + serial dispatcher.
 
     An admitted request is answered inline on its connection task when
-    nothing is queued and the dispatcher is idle (the common case: every
-    request on a server that is keeping up), and through the queue
-    otherwise; both paths run the same :meth:`_answer`.
+    nothing is queued and no other request was answered inline in the
+    same event-loop pass (the common case on a server that keeps up),
+    and through the queue otherwise; both paths run the same
+    :meth:`_answer`.
 
     Parameters
     ----------
@@ -190,9 +195,10 @@ class ServiceServer:
         served state to reach version ``V`` before being answered 503
         ``stale_replica`` (the bounded-staleness read fence).
     handler_delay:
-        Artificial seconds of dispatcher sleep per request — a **testing
-        hook** to make queue pressure reproducible; leave at 0.0.  A
-        non-zero delay sends every request through the queue.
+        Artificial seconds each answer blocks the event loop before its
+        handler runs, on either path, as a slow synchronous handler
+        would — a **testing hook** to make queue pressure reproducible;
+        leave at 0.0.
     """
 
     def __init__(
@@ -584,7 +590,7 @@ class ServiceServer:
                     503,
                     error_payload(
                         ERR_TIMED_OUT,
-                        f"request waited {waited:.2f}s in queue "
+                        f"request waited {waited:.2f}s for its handler "
                         f"(limit {self.request_timeout:g}s)",
                         version=self.state.version,
                     ),
