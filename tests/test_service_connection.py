@@ -274,8 +274,10 @@ class TestOrderingAcrossPaths:
         get("/nope"),
     ]
 
-    def run_script(self, *, pipelined):
-        with BackgroundServer(make_graph()) as server:
+    def run_script(self, *, pipelined, handler_delay=0.0):
+        with BackgroundServer(
+            make_graph(), handler_delay=handler_delay
+        ) as server:
             with connect(server) as sock:
                 reader = Reader(sock)
                 answers = []
@@ -293,13 +295,14 @@ class TestOrderingAcrossPaths:
     def test_inline_and_queued_bodies_identical(self):
         inline, inline_queue = self.run_script(pipelined=False)
         mixed, mixed_queue = self.run_script(pipelined=True)
-        assert inline == mixed
+        slow, slow_queue = self.run_script(pipelined=True, handler_delay=0.02)
+        assert inline == mixed == slow
         assert [status for status, _doc in inline].count(200) == 11
         # queue.depth / queue.peak count only requests that waited for
         # the dispatcher: none did when each request waited for the last
         # answer, every other one did when the script came in one write.
         assert inline_queue["peak"] == 0
-        assert mixed_queue["peak"] == 1
+        assert mixed_queue["peak"] == slow_queue["peak"] == 1
         assert inline_queue["depth"] == mixed_queue["depth"] == 0
 
 
