@@ -5,7 +5,6 @@
 #   make test       full unit/property/integration suite
 #   make bench      regenerate every paper table & figure
 #   make bench-engine  engine dispatch/cache/dynamic-timeline gates
-#   make bench-batch   batched maintenance vs per-op speedup gate
 #   make bench-service  query-service closed-loop load generator
 #   make bench-external  out-of-core decomposition under a capped RSS budget
 #   make figures    alias for bench (outputs land in benchmarks/results/)
@@ -18,7 +17,7 @@
 PYTHON ?= python3
 export PYTHONPATH := src
 
-.PHONY: install test bench bench-engine bench-batch bench-service bench-external figures examples artifacts clean
+.PHONY: install test bench bench-engine bench-service bench-external figures examples artifacts clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -31,9 +30,6 @@ bench:
 
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_engine_overhead.py -q
-
-bench-batch:
-	$(PYTHON) benchmarks/bench_batch_update.py
 
 bench-service:
 	$(PYTHON) benchmarks/bench_service.py

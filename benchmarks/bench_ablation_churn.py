@@ -1,9 +1,9 @@
 """Ablation — where does incremental maintenance stop paying off?
 
 Table III fixes churn at 1%.  This sweep varies the churn fraction to
-locate the crossovers among the three write strategies — per-op
-incremental repairs, the batched single affected-region pass, and a
-full Algorithm 1 recompute — the measurement behind the ``auto``
+locate the crossover between the two write strategies — per-op
+incremental repairs and a full Algorithm 1 recompute — the
+measurement behind the ``auto``
 strategy's churn threshold (``AUTO_RECOMPUTE_CHURN`` in
 ``repro.core.dynamic``).
 
@@ -78,7 +78,6 @@ def _ablation_churn_report(dataset_loader):
     graph = dataset_loader(DATASET).graph
     rows = []
     incremental_crossover = None
-    batch_crossover = None
     apply_crossover = None
     auto_misses = []
     for fraction in FRACTIONS:
@@ -94,20 +93,12 @@ def _ablation_churn_report(dataset_loader):
             graph, added, removed, "recompute"
         )
         assert apply_rc_kappa == update_kappa
-
-        batch_seconds, batch_kappa = _best_apply(
-            graph, added, removed, "batch"
-        )
-        assert batch_kappa == update_kappa
         recompute_seconds, recompute_kappa = _best_apply(graph, added, removed)
         assert update_kappa == recompute_kappa
 
         speedup = recompute_seconds / max(update_seconds, 1e-9)
-        batch_speedup = recompute_seconds / max(batch_seconds, 1e-9)
         if speedup < 1 and incremental_crossover is None:
             incremental_crossover = fraction
-        if batch_speedup < 1 and batch_crossover is None:
-            batch_crossover = fraction
         apply_speedup = apply_rc_seconds / max(update_seconds, 1e-9)
         if apply_speedup < 1 and apply_crossover is None:
             apply_crossover = fraction
@@ -125,8 +116,6 @@ def _ablation_churn_report(dataset_loader):
                 f"{recompute_seconds:.4f}",
                 f"{update_seconds:.4f}",
                 f"{speedup:.1f}x",
-                f"{batch_seconds:.4f}",
-                f"{batch_speedup:.1f}x",
                 f"{apply_rc_seconds:.4f}",
                 f"{apply_speedup:.1f}x",
                 auto,
@@ -135,8 +124,7 @@ def _ablation_churn_report(dataset_loader):
     lines = format_table(
         (
             "churn", "edges changed", "recompute(s)",
-            "per-op(s)", "x", "batch(s)", "x",
-            "apply-rc(s)", "x", "auto",
+            "per-op(s)", "x", "apply-rc(s)", "x", "auto",
         ),
         rows,
     )
@@ -148,7 +136,6 @@ def _ablation_churn_report(dataset_loader):
         return f"{name}: loses to recompute above ~{crossover:.1%} churn"
 
     lines.append(describe("per-op incremental", incremental_crossover))
-    lines.append(describe("batch", batch_crossover))
     lines.append(
         describe("per-op vs apply(strategy='recompute')", apply_crossover)
     )
@@ -164,17 +151,11 @@ def _ablation_churn_report(dataset_loader):
     )
     lines.append(
         "shape: the paper's 1% regime is deep inside per-op territory "
-        "for scattered edits; the batch path's wins are on coalesced "
-        "bursty streams (see bench_batch_update), and auto's recompute "
-        "tier (AUTO_RECOMPUTE_CHURN) covers everything above the "
-        "crossover."
+        "for scattered edits, and auto's recompute tier "
+        "(AUTO_RECOMPUTE_CHURN) covers everything above the crossover."
     )
     write_report("ablation_churn", lines)
 
-    # At the paper's 1% the per-op path must win clearly; the batch
-    # path must at least win in the near-static regime (0.1%), where
-    # its per-cluster regions collapse to per-op size.
+    # At the paper's 1% the per-op path must win clearly.
     one_percent = rows[1]
     assert float(one_percent[2]) > float(one_percent[3])
-    near_static = rows[0]
-    assert float(near_static[2]) > float(near_static[5])

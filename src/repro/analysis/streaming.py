@@ -12,6 +12,8 @@ inserts an interaction, expiring everything older than ``t - window``
 first.  Repeated interactions refresh the edge's timestamp instead of
 duplicating it.  Every query (max kappa, densest community, kappa of an
 edge) reads the incrementally-maintained state — no recomputation.
+Writes go through ``diff_apply`` (one call per insertion and one per
+expiry sweep), which keeps the maintainer's cached max kappa current.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class SlidingWindowDensity:
         self._last_seen[edge] = timestamp
         heapq.heappush(self._expiry_heap, (timestamp, edge))
         if not self._maintainer.graph.has_edge(u, v):
-            self._maintainer.add_edge(u, v)
+            self._maintainer.diff_apply(added=[(u, v)])
         return expired
 
     def advance_to(self, timestamp: float) -> int:
@@ -93,15 +95,16 @@ class SlidingWindowDensity:
             )
         self._now = timestamp
         horizon = timestamp - self.window
-        expired = 0
+        expired: List[Edge] = []
         while self._expiry_heap and self._expiry_heap[0][0] <= horizon:
             stamp, edge = heapq.heappop(self._expiry_heap)
             if self._last_seen.get(edge) != stamp:
                 continue  # refreshed later; stale heap entry
             del self._last_seen[edge]
-            self._maintainer.remove_edge(*edge)
-            expired += 1
-        return expired
+            expired.append(edge)
+        if expired:
+            self._maintainer.diff_apply(removed=expired)
+        return len(expired)
 
     # ------------------------------------------------------------------ #
     # queries (all O(1) or read-only on maintained state)

@@ -36,6 +36,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
+from .core.dynamic import DynamicTriangleKCore
 from .graph.io import read_edge_list
 from .graph.undirected import Graph
 from .testing.workloads import PROFILES as _WORKLOAD_PROFILES
@@ -481,7 +482,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .testing import (
         PROFILES,
         ReproBundle,
-        batch_boundary_bug_sut,
         fuzz,
         perturbed_sut_factory,
         replay,
@@ -498,12 +498,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 f"batch mode: chunks of {bundle.batch_ops} ops via "
                 f"diff_apply(strategy={bundle.batch_strategy!r})"
             )
-        factory = (
-            perturbed_sut_factory(args.perturb_level)
-            if args.perturb_level is not None
-            else (batch_boundary_bug_sut if args.batch_bug else None)
-        )
-        report = replay(bundle, **({"sut_factory": factory} if factory else {}))
+        kwargs = {}
+        if args.perturb_level is not None:
+            kwargs["sut_factory"] = perturbed_sut_factory(args.perturb_level)
+        report = replay(bundle, **kwargs)
         if report.ok:
             print(
                 f"replay clean: {report.steps} ops, "
@@ -526,9 +524,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             f"batch mode: chunks of {args.batch_ops} ops applied via "
             f"diff_apply(strategy={args.strategy!r})"
         )
-    if args.perturb_level is not None and args.batch_bug:
-        print("--perturb-level and --batch-bug are mutually exclusive")
-        return 2
     if args.perturb_level is not None:
         extra_kwargs["sut_factory"] = perturbed_sut_factory(
             args.perturb_level
@@ -536,12 +531,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(
             f"self-test: injecting off-by-one kappa bug at level "
             f"{args.perturb_level}"
-        )
-    if args.batch_bug:
-        extra_kwargs["sut_factory"] = batch_boundary_bug_sut
-        print(
-            "self-test: injecting batch boundary-drop bug "
-            "(_trim_batch_region skips one affected-region edge)"
         )
     if args.backend == "csr-vec":
         print("csr-vec is an alias of csr, already a default oracle")
@@ -865,12 +854,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--strategy",
-        choices=("per_op", "batch", "incremental", "recompute", "auto"),
+        choices=("per_op",) + DynamicTriangleKCore.STRATEGIES,
         default="per_op",
         help="how the maintainer is driven: per_op (default) feeds one op "
         "at a time with per-op invariants; any other value coalesces "
         "chunks of --batch-ops ops and applies them through "
-        "diff_apply with that strategy",
+        "diff_apply with that strategy (batch: alias of incremental)",
     )
     p.add_argument(
         "--batch-ops",
@@ -886,13 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="perturb_level",
         help="self-test: inject an off-by-one kappa bug at this level and "
         "verify the harness catches it",
-    )
-    p.add_argument(
-        "--batch-bug",
-        action="store_true",
-        dest="batch_bug",
-        help="self-test: inject a batch affected-region boundary-drop bug "
-        "and verify the harness catches it (use with --strategy batch)",
     )
     p.add_argument(
         "--backend",
@@ -969,11 +951,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--edit-strategy",
-        choices=("auto", "incremental", "batch", "recompute"),
+        choices=DynamicTriangleKCore.STRATEGIES,
         default="auto",
         dest="edit_strategy",
         help="default kappa-repair strategy for POST /edits batches "
-        "(per-request 'strategy' field overrides; default: auto)",
+        "(per-request 'strategy' field overrides; batch: alias of "
+        "incremental; default: auto)",
     )
     _add_engine_arguments(p)
     p.set_defaults(func=_cmd_serve)

@@ -50,10 +50,10 @@ path instead of a tuple compare.  Sync rule: the map mirrors the graph's
 adjacency exactly (isolated vertices included), and each value *is* the
 kappa key of its edge.  It is built once at construction, in one pass over
 the kappa keys; every structural write (``add_vertex``, ``add_edge``,
-``remove_edge``, ``remove_vertex``, the batch cluster path and the
-recompute path) links or unlinks its edge in the same step.  The recompute
-path copies the old kappa map and overwrites its values from the fresh
-decomposition with ``dict.update``, which keeps the copy's key objects.
+``remove_edge``, ``remove_vertex`` and the recompute path) links or
+unlinks its edge in the same step.  The recompute path copies the old
+kappa map and overwrites its values from the fresh decomposition with
+``dict.update``, which keeps the copy's key objects.
 ``tests/test_dynamic.py::TestEdgeKeyMap`` pins the rule on every write
 path.
 """
@@ -101,25 +101,19 @@ class UpdateStats:
 
     Field guarantees by strategy (see :meth:`DynamicTriangleKCore.apply`):
 
-    ==================  ===========  =========  =====
-    field               incremental  recompute  batch
-    ==================  ===========  =========  =====
-    strategy            yes          yes        yes
-    edges_changed       yes          yes        yes
-    candidates_examined yes          0          yes
-    levels_touched      yes          0          0
-    full_snapshots      0            1          0
-    region_edges        0            0          yes
-    settle_iterations   0            0          yes
-    bound_prune_hits    0            0          yes
-    ==================  ===========  =========  =====
+    ==================  ===========  =========
+    field               incremental  recompute
+    ==================  ===========  =========
+    strategy            yes          yes
+    edges_changed       yes          yes
+    candidates_examined yes          0
+    levels_touched      yes          0
+    full_snapshots      0            1
+    ==================  ===========  =========
 
-    ``levels_touched`` only makes sense for the per-op cascades (one entry
-    per promotion/demotion pass); the batch settle repairs every level in a
-    single localized fixpoint, so it reports ``region_edges`` /
-    ``settle_iterations`` / ``bound_prune_hits`` instead.
-    ``full_snapshots`` counts O(|E|) copies of the kappa map — zero on the
-    incremental and batch paths by design (the satellite contract pinned by
+    ``strategy`` is the resolved one: ``"auto"`` and the ``"batch"``
+    alias report what they ran.  ``full_snapshots`` counts O(|E|) copies
+    of the kappa map — zero on the incremental path by design (pinned by
     ``tests/test_dynamic.py``).
     """
 
@@ -129,9 +123,6 @@ class UpdateStats:
         "levels_touched",
         "strategy",
         "full_snapshots",
-        "region_edges",
-        "settle_iterations",
-        "bound_prune_hits",
     )
 
     def __init__(self) -> None:
@@ -140,16 +131,12 @@ class UpdateStats:
         self.levels_touched = 0
         self.strategy = "incremental"
         self.full_snapshots = 0
-        self.region_edges = 0
-        self.settle_iterations = 0
-        self.bound_prune_hits = 0
 
     def __repr__(self) -> str:
         return (
             f"UpdateStats(strategy={self.strategy!r}, "
             f"candidates={self.candidates_examined}, "
-            f"changed={self.edges_changed}, levels={self.levels_touched}, "
-            f"region={self.region_edges})"
+            f"changed={self.edges_changed}, levels={self.levels_touched})"
         )
 
 
@@ -277,8 +264,8 @@ class DynamicTriangleKCore:
         self._edge_keys = keys
         #: Active delta recorder: ``{edge: kappa before this update}`` for
         #: every edge written while the recorder is armed (None = absent).
-        #: Armed by :meth:`diff_apply` so the incremental and batch paths
-        #: can report an exact KappaDelta without snapshotting the map.
+        #: Armed by :meth:`diff_apply` so the incremental path can report
+        #: an exact KappaDelta without snapshotting the map.
         self._recording: Optional[Dict[Edge, Optional[int]]] = None
         #: ``(graph version, largest kappa)`` — see :attr:`max_kappa`.
         self._max_kappa: Optional[Tuple[int, int]] = None
@@ -526,24 +513,30 @@ class DynamicTriangleKCore:
     #: ``auto`` picks the faster arm at every swept level but the tied
     #: one; any threshold in that gap makes the same picks, so it is
     #: unchanged.  (Against a bare Algorithm 1 run per-op already loses
-    #: at 10%, 0.6-1.2x.)  ``"batch"`` is deliberately never
-    #: auto-selected: its measured win (8-24x over per-op at 200-op
-    #: batches, 3-5x at 50) is on coalesced replay of bursty edit
-    #: scripts, a regime the churn fraction alone cannot distinguish
-    #: from scattered edits, where per-op repair stays ahead — callers
-    #: that batch edits opt in explicitly.
+    #: at 10%, 0.6-1.2x.)  Since ``apply`` records its delta through
+    #: ``diff_apply``, three runs read 0.9-1.0x at 10%: a near tie, so
+    #: the threshold still sits at the crossover.
     AUTO_RECOMPUTE_CHURN = 0.10
 
     #: Every strategy :meth:`apply` / :meth:`diff_apply` accept.
+    #: ``"batch"`` is an alias of ``"incremental"``, kept so callers that
+    #: name it keep working.
     STRATEGIES = ("incremental", "recompute", "auto", "batch")
 
-    def _resolve_strategy(self, strategy: str, n_ops: int) -> str:
-        """Validate ``strategy`` and collapse ``"auto"`` to a concrete one."""
+    def resolve_strategy(self, strategy: str, n_ops: int) -> str:
+        """Validate ``strategy`` and collapse it to the one that runs.
+
+        ``"batch"`` resolves to ``"incremental"``; ``"auto"`` resolves to
+        ``"recompute"`` when ``n_ops`` reaches :attr:`AUTO_RECOMPUTE_CHURN`
+        of the current edge count and to ``"incremental"`` below it.
+        """
         if strategy not in self.STRATEGIES:
             raise ValueError(
                 "strategy must be incremental/recompute/auto/batch, "
                 f"got {strategy!r}"
             )
+        if strategy == "batch":
+            return "incremental"
         if strategy != "auto":
             return strategy
         if n_ops / max(self._graph.num_edges, 1) >= self.AUTO_RECOMPUTE_CHURN:
@@ -562,58 +555,40 @@ class DynamicTriangleKCore:
         ``strategy``:
 
         * ``"incremental"`` (default) — per-edge Algorithm 2 repairs, one
-          affected-neighborhood walk per op;
-        * ``"batch"`` — one affected-region pass per vertex-disjoint op
-          cluster: structurally apply everything, grow the affected
-          region, settle levels with a localized fixpoint (see
-          :meth:`_apply_by_batch`).  Bit-identical to per-op application
-          at any batch size; wins big (8-24x over per-op at 200-op
-          batches, 3-5x at 50) on coalesced bursty edit scripts, so it
-          is the opt-in choice for replaying batched streams;
+          affected-neighborhood walk per op (``"batch"`` is an alias);
         * ``"recompute"`` — apply the batch structurally and re-run
           Algorithm 1 once (cheapest at very high churn);
         * ``"auto"`` — incremental below :attr:`AUTO_RECOMPUTE_CHURN`
           churn, recompute at or above it (measured in
           ``benchmarks/bench_ablation_churn.py``).
 
-        Error contract: every strategy raises the same exception types for
-        the same invalid ops (:class:`SelfLoopError`,
-        :class:`EdgeExistsError`, :class:`EdgeNotFoundError`).  The batch
-        and recompute paths pre-validate and raise *before* touching
-        anything (all-or-nothing), whereas the per-op path has already
-        applied the ops preceding the offending one.
+        Error contract: every strategy is all-or-nothing.  The whole
+        removals-then-insertions sequence is validated before any
+        strategy runs, and an invalid op raises :class:`SelfLoopError`,
+        :class:`EdgeExistsError` or :class:`EdgeNotFoundError` with the
+        graph and kappa untouched.
 
-        Returns aggregated statistics (see :class:`UpdateStats` for which
-        fields each strategy fills).  This is the entry point snapshot
-        streams use (see :func:`repro.graph.io.graph_diff`).
+        Returns the statistics of :meth:`diff_apply`, which does the work
+        (see :class:`UpdateStats` for which fields each strategy fills).
+        This is the entry point snapshot streams use (see
+        :func:`repro.graph.io.graph_diff`).
         """
-        added = list(added)
-        removed = list(removed)
-        strategy = self._resolve_strategy(strategy, len(added) + len(removed))
-        if strategy == "recompute":
-            return self._apply_by_recompute(added, removed)
-        if strategy == "batch":
-            return self._apply_by_batch(added, removed)
-        total = UpdateStats()
-        for u, v in removed:
-            self._merge_stats(total, self.remove_edge(u, v))
-        for u, v in added:
-            self._merge_stats(total, self.add_edge(u, v))
-        return total
+        return self.diff_apply(added, removed, strategy=strategy).stats
 
     def _apply_by_recompute(
         self,
         added: List[Tuple[Vertex, Vertex]],
         removed: List[Tuple[Vertex, Vertex]],
     ) -> UpdateStats:
-        """Recompute path: mutate the graph, then one fresh Algorithm 1 run."""
-        self._check_not_stale()
-        self._validate_ops(added, removed)
+        """Recompute path: mutate the graph, then one fresh Algorithm 1 run.
+
+        Replaces the kappa map with a new dict (the old one is left
+        as it was); the caller counts ``edges_changed`` from the diff.
+        """
         stats = UpdateStats()
         stats.strategy = "recompute"
         stats.full_snapshots = 1
-        before = self._kappa
-        kappa = dict(before)
+        kappa = dict(self._kappa)
         store = self._store
         for u, v in removed:
             if store is not None:
@@ -632,11 +607,6 @@ class DynamicTriangleKCore:
         # which are the edge-key map's, so no rebuild is needed.
         kappa.update(triangle_kcore_decomposition(self._graph).kappa)
         self._kappa = kappa
-        stats.edges_changed = sum(
-            1
-            for edge, value in self._kappa.items()
-            if before.get(edge) != value
-        ) + sum(1 for edge in before if edge not in self._kappa)
         return stats
 
     def _validate_ops(
@@ -647,8 +617,8 @@ class DynamicTriangleKCore:
         """Check removals-then-insertions against a simulated edge set.
 
         Raises exactly the exception the per-op path would raise at the
-        first invalid op, but before any mutation, so the batch and
-        recompute paths are all-or-nothing.
+        first invalid op, but before any mutation, so every strategy is
+        all-or-nothing.
         """
         graph = self._graph
         removed_set: Set[Edge] = set()
@@ -668,316 +638,6 @@ class DynamicTriangleKCore:
                 raise EdgeExistsError(u, v)
             added_set.add(edge)
 
-    # ------------------------------------------------------------------ #
-    # batch path: one affected-region pass per edit batch
-    # ------------------------------------------------------------------ #
-
-    def _apply_by_batch(
-        self,
-        added: List[Tuple[Vertex, Vertex]],
-        removed: List[Tuple[Vertex, Vertex]],
-    ) -> UpdateStats:
-        """Apply the whole batch, one affected-region repair per cluster.
-
-        Phases:
-
-        1. **Validate.**  The removals-then-insertions sequence is checked
-           against a simulated edge set and raises exactly the exception
-           the per-op path would — but *before* any mutation, so a bad
-           batch is all-or-nothing instead of partially applied.
-        1b. **Cluster.**  The ops are partitioned into vertex-disjoint
-           clusters (union-find over op endpoints).  Kappa is a pure
-           function of the graph, so applying exact sub-batches
-           sequentially is exact for *any* grouping; clustering exists
-           purely to tighten the per-cluster Rule 0 budgets below.  Each
-           cluster then runs phases 2-4 (:meth:`_apply_batch_cluster`):
-        2. **Apply structurally.**  Destroyed triangles of every removed
-           edge are captured first (they seed the demotion side of the
-           region), then removals and insertions mutate the graph.  Kappa
-           values are left untouched: the old values double as the frozen
-           boundary of the localized settle.
-        3. **Grow the affected region** by BFS over the new graph's
-           triangles, gated by cheap Rule 0 interval bounds: across a
-           cluster of ``nA`` insertions and ``nR`` removals an existing
-           edge's kappa stays within ``[kappa - nR, kappa + nA]``.  Seeds
-           are the inserted edges plus the demotion-suspect side edges of
-           destroyed triangles; a triangle neighbor whose bounds forbid
-           any change is pruned (counted in ``bound_prune_hits``) and
-           re-tested only if another of its triangle partners later joins.
-        4. **Settle.**  Every region edge is seeded with an h-index upper
-           bound over its triangles (bound values for region partners,
-           exact old kappa for the frozen boundary) and a worklist
-           fixpoint lowers values until every region edge satisfies the
-           h-index equation ``kappa(e) = H({min of partner kappas over
-           e's triangles})``.  Starting above the answer with an exact
-           boundary, the greatest fixpoint *is* the new kappa on the
-           region — which makes batch application bit-identical to per-op
-           application at any batch size.
-        """
-        self._check_not_stale()
-        stats = UpdateStats()
-        stats.strategy = "batch"
-
-        # Phase 1: validate the whole sequence, all-or-nothing.
-        self._validate_ops(added, removed)
-        # Phase 1b: partition the ops into vertex-disjoint clusters
-        # (union-find over op endpoints).  Kappa is a pure function of
-        # the graph, so applying exact batches sequentially is exact for
-        # any grouping; clustering only tightens the Rule 0 budgets —
-        # scattered edits get per-cluster nA/nR of 1-2 instead of the
-        # whole batch's, which keeps their affected regions per-op-sized,
-        # while overlapping bursts still collapse into one region pass.
-        parent: Dict[Vertex, Vertex] = {}
-
-        def find(x: Vertex) -> Vertex:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(a: Vertex, b: Vertex) -> None:
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        for u, v in removed:
-            union(u, v)
-        for u, v in added:
-            union(u, v)
-        clusters: Dict[Vertex, Tuple[list, list]] = {}
-        for u, v in removed:
-            clusters.setdefault(find(u), ([], []))[1].append((u, v))
-        for u, v in added:
-            clusters.setdefault(find(u), ([], []))[0].append((u, v))
-        for cluster_added, cluster_removed in clusters.values():
-            self._apply_batch_cluster(cluster_added, cluster_removed, stats)
-        return stats
-
-    def _apply_batch_cluster(
-        self,
-        added: List[Tuple[Vertex, Vertex]],
-        removed: List[Tuple[Vertex, Vertex]],
-        stats: UpdateStats,
-    ) -> None:
-        """Phases 2-4 of the batch path for one already-validated cluster."""
-        graph = self._graph
-        kappa = self._kappa
-        keys = self._edge_keys
-        removed_set: Set[Edge] = {canonical_edge(u, v) for u, v in removed}
-        added_set: Set[Edge] = {canonical_edge(u, v) for u, v in added}
-        nR = len(removed_set)
-        nA = len(added_set)
-
-        # Phase 2a: capture demotion seeds from the pre-batch graph.  A
-        # surviving side edge f of a destroyed triangle (r, f, g) counted
-        # that triangle at its own level kappa(f) only if kappa(r) and
-        # kappa(g) both reach it (the per-op seeding rule, batched; the
-        # other side g may itself be a removed edge).
-        seed_edges: Set[Edge] = set()
-        for u, v in removed:
-            eu = keys[u]
-            ev = keys[v]
-            k_r = kappa[eu[v]]
-            for w in graph.common_neighbors(u, v):
-                f1 = eu[w]
-                f2 = ev[w]
-                k1 = kappa[f1]
-                k2 = kappa[f2]
-                if f1 not in removed_set and 0 < k1 <= min(k_r, k2):
-                    seed_edges.add(f1)
-                if f2 not in removed_set and 0 < k2 <= min(k_r, k1):
-                    seed_edges.add(f2)
-
-        # Phase 2b: mutate structurally (removals first, like per-op).
-        store = self._store
-        for u, v in removed:
-            if store is not None:
-                store.remove_edge(u, v)
-            else:
-                graph.remove_edge(u, v)
-            edge = self._unlink(u, v)
-            self._note(edge)
-            del kappa[edge]
-        for u, v in added:
-            if store is not None:
-                store.add_edge(u, v)
-            else:
-                graph.add_edge(u, v)
-            self._link(u, v)
-        self._expected_edges = graph.num_edges
-        stats.edges_changed += nR
-
-        # Phase 3: region closure with Rule 0 interval bounds.
-        # lo/hi are defined for region members only; outside the region an
-        # old edge is *assumed* unchanged (exact boundary), but the
-        # promote test still bounds a not-yet-member partner by
-        # kappa + nA — a valid bound on its final value no matter whether
-        # it eventually joins.
-        apexes_of = self._apexes
-        lo: Dict[Edge, int] = {}
-        hi: Dict[Edge, int] = {}
-        queue: List[Edge] = []
-        for u, v in added:
-            edge = keys[u][v]
-            if edge in hi:
-                continue
-            # A new edge's kappa is at most its triangle count.
-            hi[edge] = sum(1 for _ in apexes_of(edge[0], edge[1]))
-            lo[edge] = 0
-            queue.append(edge)
-        for edge in seed_edges:
-            if edge in hi:
-                continue
-            k_old = kappa[edge]
-            hi[edge] = k_old + nA
-            lo[edge] = max(0, k_old - nR)
-            queue.append(edge)
-
-        def admit(f: Edge, may_promote: bool, may_demote: bool) -> bool:
-            """Support test: can f's own triangles sustain a change?
-
-            A pair test alone floods equal-kappa plateaus (with ``nA = 1``
-            any neighbor whose partners merely match f's kappa passes), so
-            mirror the per-op prune: promotion to ``k + 1`` needs at least
-            ``k + 1`` triangles whose partners can both reach ``k + 1``,
-            and demotion is impossible while at least ``k`` triangles
-            provably persist at level ``k``.
-            """
-            k = kappa[f]
-            strong = 0
-            solid = 0
-            fa, fb = f
-            ea = keys[fa]
-            eb = keys[fb]
-            for w in apexes_of(fa, fb):
-                p = ea[w]
-                q = eb[w]
-                up_p = hi[p] if p in hi else kappa[p] + nA
-                up_q = hi[q] if q in hi else kappa[q] + nA
-                if may_promote and up_p >= k + 1 and up_q >= k + 1:
-                    strong += 1
-                    if strong >= k + 1:
-                        return True
-                if may_demote:
-                    low_p = lo[p] if p in hi else kappa[p]
-                    low_q = lo[q] if q in hi else kappa[q]
-                    if low_p >= k and low_q >= k:
-                        solid += 1
-            return may_demote and solid < k
-
-        while queue:
-            x = queue.pop()
-            a, b = x
-            hi_x = hi[x]
-            lo_x = lo[x]
-            ea = keys[a]
-            eb = keys[b]
-            for w in apexes_of(a, b):
-                g1 = ea[w]
-                g2 = eb[w]
-                for f, g in ((g1, g2), (g2, g1)):
-                    if f in hi:
-                        continue
-                    stats.candidates_examined += 1
-                    k = kappa[f]
-                    up_g = hi[g] if g in hi else kappa[g] + nA
-                    # f could rise to k + 1 only if both partners can
-                    # reach k + 1; it could lose this triangle at its own
-                    # level k only if x may drop below k while the
-                    # triangle otherwise qualified.  The pair tests are
-                    # necessary conditions; admit() re-checks against f's
-                    # own triangle support before it joins.  A prune here
-                    # is provisional: f is re-tested whenever another of
-                    # its triangle partners is admitted and popped.
-                    may_promote = hi_x >= k + 1 and up_g >= k + 1
-                    may_demote = bool(
-                        nR > 0 and k >= 1 and lo_x < k <= hi_x and up_g >= k
-                    )
-                    if (may_promote or may_demote) and admit(
-                        f, may_promote, may_demote
-                    ):
-                        hi[f] = k + nA
-                        lo[f] = max(0, k - nR)
-                        queue.append(f)
-                    else:
-                        stats.bound_prune_hits += 1
-
-        region = self._trim_batch_region(set(hi), added_set)
-        stats.region_edges += len(region)
-
-        # Phase 4: bound-seeded localized h-index settle, frozen boundary.
-        rho: Dict[Edge, int] = {}
-        for edge in region:
-            a, b = edge
-            ea = keys[a]
-            eb = keys[b]
-            minima = []
-            for w in apexes_of(a, b):
-                g1 = ea[w]
-                g2 = eb[w]
-                b1 = hi[g1] if g1 in region else kappa[g1]
-                b2 = hi[g2] if g2 in region else kappa[g2]
-                minima.append(min(b1, b2))
-            rho[edge] = max(lo[edge], min(hi[edge], h_index(minima)))
-
-        def val(edge: Edge) -> int:
-            value = rho.get(edge)
-            return value if value is not None else kappa[edge]
-
-        pending: List[Edge] = [e for e in region]
-        in_pending: Set[Edge] = set(pending)
-        while pending:
-            edge = pending.pop()
-            in_pending.discard(edge)
-            stats.settle_iterations += 1
-            a, b = edge
-            ea = keys[a]
-            eb = keys[b]
-            apexes = apexes_of(a, b)
-            minima = [min(val(ea[w]), val(eb[w])) for w in apexes]
-            new_value = max(lo[edge], min(hi[edge], h_index(minima)))
-            if new_value < rho[edge]:
-                rho[edge] = new_value
-                # Only neighbors whose value exceeds the drop can depend
-                # on this edge through a min() — re-examine them.
-                for w in apexes:
-                    for f in (ea[w], eb[w]):
-                        if (
-                            f in region
-                            and f not in in_pending
-                            and rho[f] > new_value
-                        ):
-                            in_pending.add(f)
-                            pending.append(f)
-
-        stats.edges_changed += self._finalize_region(rho)
-
-    def _trim_batch_region(
-        self, region: Set[Edge], inserted: Set[Edge]
-    ) -> Set[Edge]:
-        """Fault-injection seam: the region the settle actually repairs.
-
-        The default is the identity.  The fuzz harness's mutation
-        smoke-check overrides it to drop one boundary edge, proving the
-        differential fuzzer notices an under-grown region.
-        """
-        return region
-
-    def _finalize_region(self, rho: Dict[Edge, int]) -> int:
-        """Write settled region values into the kappa map; count changes."""
-        kappa = self._kappa
-        changed = 0
-        for edge, value in rho.items():
-            if kappa.get(edge) != value:
-                self._note(edge)
-                kappa[edge] = value
-                changed += 1
-        return changed
-
     def diff_apply(
         self,
         added: Iterable[Tuple[Vertex, Vertex]] = (),
@@ -987,59 +647,51 @@ class DynamicTriangleKCore:
     ) -> KappaDelta:
         """Like :meth:`apply`, but report exactly what changed.
 
-        The incremental and batch paths accumulate the delta directly from
-        the edges they actually write — O(changed) bookkeeping, no copy of
+        The incremental path accumulates the delta directly from the
+        edges it actually writes — O(changed) bookkeeping, no copy of
         the kappa map (``stats.full_snapshots`` stays 0).  Only the
         recompute fallback diffs full maps, because Algorithm 1 replaces
         the map wholesale.  The delta also keeps :attr:`max_kappa`
         current without a scan.
         """
-        version = self._graph.version
-        delta = self._diff_apply(added, removed, strategy)
-        self._fold_max_kappa(version, delta)
-        return delta
-
-    def _diff_apply(self, added, removed, strategy: str) -> KappaDelta:
         added = list(added)
         removed = list(removed)
-        strategy = self._resolve_strategy(strategy, len(added) + len(removed))
+        strategy = self.resolve_strategy(strategy, len(added) + len(removed))
+        self._check_not_stale()
+        self._validate_ops(added, removed)
+        version = self._graph.version
         if strategy == "recompute":
-            # _apply_by_recompute replaces self._kappa rather than mutating
-            # it, so aliasing the old dict is a safe "snapshot".
             before = self._kappa
             stats = self._apply_by_recompute(added, removed)
             after = self._kappa
-            created: Dict[Edge, int] = {}
-            deleted: Dict[Edge, int] = {}
-            promoted: Dict[Edge, Tuple[int, int]] = {}
-            demoted: Dict[Edge, Tuple[int, int]] = {}
-            for edge, new_value in after.items():
-                old_value = before.get(edge)
-                if old_value is None:
-                    created[edge] = new_value
-                elif new_value > old_value:
-                    promoted[edge] = (old_value, new_value)
-                elif new_value < old_value:
-                    demoted[edge] = (old_value, new_value)
-            for edge, old_value in before.items():
+            # The old value of every edge whose kappa differs (None for a
+            # created edge), in one pass over the new map.
+            record: Dict[Edge, Optional[int]] = {
+                edge: before.get(edge)
+                for edge, value in after.items()
+                if before.get(edge) != value
+            }
+            for u, v in removed:
+                edge = canonical_edge(u, v)
                 if edge not in after:
-                    deleted[edge] = old_value
-            return KappaDelta(created, deleted, promoted, demoted, stats)
-        outer = self._recording
-        self._recording = {}
-        try:
-            if strategy == "batch":
-                stats = self._apply_by_batch(added, removed)
-            else:
+                    record[edge] = before[edge]
+            stats.edges_changed = len(record)
+            delta = self._delta_from_record(record, stats)
+        else:
+            outer = self._recording
+            self._recording = {}
+            try:
                 stats = UpdateStats()
                 for u, v in removed:
                     self._merge_stats(stats, self.remove_edge(u, v))
                 for u, v in added:
                     self._merge_stats(stats, self.add_edge(u, v))
-            record = self._recording
-        finally:
-            self._recording = outer
-        return self._delta_from_record(record, stats)
+                record = self._recording
+            finally:
+                self._recording = outer
+            delta = self._delta_from_record(record, stats)
+        self._fold_max_kappa(version, delta)
+        return delta
 
     def _delta_from_record(
         self, record: Dict[Edge, Optional[int]], stats: UpdateStats
@@ -1069,9 +721,6 @@ class DynamicTriangleKCore:
         total.edges_changed += one.edges_changed
         total.levels_touched += one.levels_touched
         total.full_snapshots += one.full_snapshots
-        total.region_edges += one.region_edges
-        total.settle_iterations += one.settle_iterations
-        total.bound_prune_hits += one.bound_prune_hits
 
     # ------------------------------------------------------------------ #
     # insertion internals

@@ -184,10 +184,9 @@ class Engine:
     dynamic_strategy:
         Update strategy the ``"dynamic"`` backend hands to
         :meth:`~repro.core.dynamic.DynamicTriangleKCore.apply`:
-        ``"incremental"``, ``"batch"`` (one affected-region pass for the
-        whole edit batch), ``"recompute"``, or ``"auto"`` (default —
+        ``"incremental"``, ``"recompute"``, or ``"auto"`` (default —
         incremental below the measured churn crossover, one recompute
-        above it).
+        above it); ``"batch"`` is an alias of ``"incremental"``.
     spill_dir:
         Spill directory for the ``"external"`` backend.  ``None``
         (default) uses a private temporary directory per decomposition,
@@ -227,8 +226,7 @@ class Engine:
             raise ValueError(
                 f"max_cached_graphs must be >= 0, got {max_cached_graphs}"
             )
-        if dynamic_strategy not in ("incremental", "recompute", "auto",
-                                    "batch"):
+        if dynamic_strategy not in DynamicTriangleKCore.STRATEGIES:
             raise ValueError(
                 "dynamic_strategy must be incremental/recompute/auto/batch, "
                 f"got {dynamic_strategy!r}"
@@ -530,12 +528,6 @@ class Engine:
                 )
                 self.stats.bump("dynamic_edges_changed", update.edges_changed)
                 self.stats.bump("dynamic_levels_touched", update.levels_touched)
-                if update.strategy == "batch":
-                    self.stats.record_batch(
-                        update.region_edges,
-                        update.settle_iterations,
-                        update.bound_prune_hits,
-                    )
         with self.stats.stage("dynamic.snapshot"):
             return maintainer.result()
 
@@ -673,7 +665,7 @@ class Engine:
 
         ``provider()`` is called on every ``stats_dict()`` and its return
         value is embedded under ``payload[name]``.  Sections are additive
-        on top of the ``repro.engine.stats/7`` schema; a long-lived
+        on top of the ``repro.engine.stats/8`` schema; a long-lived
         consumer — the service layer — uses this to publish its own
         telemetry through the one ``--stats`` pipe.
         Reserved schema keys cannot be shadowed.
@@ -683,7 +675,6 @@ class Engine:
             "counters",
             "backend_calls",
             "stage_seconds",
-            "batch",
             "peel",
             "external",
             "workspace",

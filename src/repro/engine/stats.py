@@ -11,7 +11,7 @@ saved a recompute.
 The structured schema (``as_dict``)::
 
     {
-      "schema": "repro.engine.stats/7",
+      "schema": "repro.engine.stats/8",
       "counters":      {"decompositions": ..., "cache_hits": ...,
                         "triangles_enumerated": ..., "edges_peeled": ...,
                         "bucket_decrements": ..., "dynamic_updates": ...},
@@ -23,8 +23,6 @@ The structured schema (``as_dict``)::
       "external":      {"decompositions": ..., "partitions": ...,
                         "passes": ..., "bytes_mapped": ...,
                         "bound_prune_hits": ...},
-      "batch":         {"applies": ..., "region_edges": ...,
-                        "settle_iterations": ..., "bound_prune_hits": ...},
       "workspace":     {"commands": ..., "graphs": ..., "views": ...,
                         "views_created": ..., "view_refreshes": ...,
                         "view_invalidations": ..., "materializations": ...},
@@ -37,7 +35,9 @@ lacked the ``"external"`` section, ``/5`` lacked the ``"workspace"``
 section; each of those was a strict superset of the one before.  ``/7``
 drops the ``"parallel"`` section with the process-parallel backends it
 described; every other ``/6`` key is unchanged (the compatibility test
-pins this).
+pins this).  ``/8`` drops the ``"batch"`` section with the batch update
+strategy it described (``"batch"`` is now an alias of the incremental
+path); every other ``/7`` key is unchanged.
 
 Counter values are exact, not sampled: the static counters are derived
 from state Algorithm 1 computes anyway (see the ``counters`` hook on
@@ -53,14 +53,14 @@ from contextlib import contextmanager
 from typing import Dict, Iterator
 
 #: Version tag for the structured stats payload; bump on schema changes.
-STATS_SCHEMA = "repro.engine.stats/7"
+STATS_SCHEMA = "repro.engine.stats/8"
 
 
 class EngineStats:
     """Mutable instrumentation accumulator for one engine."""
 
     __slots__ = ("counters", "backend_calls", "stage_seconds", "peel",
-                 "external", "batch", "workspace")
+                 "external", "workspace")
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
@@ -76,11 +76,6 @@ class EngineStats:
         #: partition-scan passes, bytes mapped, and admission-bound prune
         #: hits (see ExternalInfo in repro.fast.external).
         self.external: Dict[str, int] = {}
-        #: Aggregate view of every batch-strategy dynamic update: apply
-        #: count plus cumulative affected-region size, settle worklist
-        #: iterations and bound-prune hits (see UpdateStats in
-        #: repro.core.dynamic).
-        self.batch: Dict[str, int] = {}
         #: Aggregate view of the interactive workspace riding on this
         #: engine: cumulative command / view-lifecycle counters plus
         #: current graph and view gauges (see repro.workspace).
@@ -158,24 +153,6 @@ class EngineStats:
             self.external.get("bound_prune_hits", 0) + int(bound_prune_hits)
         )
 
-    def record_batch(
-        self,
-        region_edges: int,
-        settle_iterations: int,
-        bound_prune_hits: int,
-    ) -> None:
-        """Record one ``strategy="batch"`` dynamic update (all cumulative)."""
-        self.batch["applies"] = self.batch.get("applies", 0) + 1
-        self.batch["region_edges"] = (
-            self.batch.get("region_edges", 0) + int(region_edges)
-        )
-        self.batch["settle_iterations"] = (
-            self.batch.get("settle_iterations", 0) + int(settle_iterations)
-        )
-        self.batch["bound_prune_hits"] = (
-            self.batch.get("bound_prune_hits", 0) + int(bound_prune_hits)
-        )
-
     def record_workspace(
         self,
         *,
@@ -227,7 +204,6 @@ class EngineStats:
             },
             "peel": dict(self.peel),
             "external": dict(sorted(self.external.items())),
-            "batch": dict(sorted(self.batch.items())),
             "workspace": dict(sorted(self.workspace.items())),
         }
 
@@ -238,7 +214,6 @@ class EngineStats:
         self.stage_seconds.clear()
         self.peel.clear()
         self.external.clear()
-        self.batch.clear()
         self.workspace.clear()
 
     def __repr__(self) -> str:

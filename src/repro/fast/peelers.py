@@ -32,7 +32,7 @@ Stats.  When a ``stats`` dict is passed, the peel records ``executor``
 (``"vector"``), ``levels`` (distinct kappa values processed),
 ``batched_decrements`` (support decrements applied) and ``bound_skips``
 (partner slots proven stable and skipped).  These feed the ``peel``
-section of ``repro.engine.stats/7``.
+section of ``repro.engine.stats/8``.
 
 Inputs.  The peel takes ``supports`` and ``tri_edges`` as int64
 ``ndarray`` objects (what :func:`~repro.fast.kernels.supports_and_triangles`

@@ -368,8 +368,8 @@ class ServiceClient:
         """POST one edit batch; returns what it did to the served state.
 
         ``strategy`` overrides the server's default repair strategy for
-        this batch: ``"incremental"``, ``"batch"`` (one affected-region
-        pass for the whole script), ``"recompute"``, or ``"auto"``.
+        this batch: ``"incremental"`` (``"batch"`` is an alias),
+        ``"recompute"``, or ``"auto"``.
         """
         body = _as_script(edits).to_json_obj()
         if strategy is not None:

@@ -31,6 +31,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.community import community_of_vertex, densest_community_of_vertex
+from ..core.dynamic import DynamicTriangleKCore
 from ..core.hierarchy import CommunityHierarchy, CommunityNode
 from ..engine import Engine
 from ..graph.edge import Vertex, canonical_edge
@@ -235,7 +236,7 @@ class ServiceState:
         engine: Optional[Engine] = None,
         edit_strategy: str = "auto",
     ) -> None:
-        if edit_strategy not in ("incremental", "recompute", "auto", "batch"):
+        if edit_strategy not in DynamicTriangleKCore.STRATEGIES:
             raise ValueError(
                 f"edit_strategy must be incremental/recompute/auto/batch, "
                 f"got {edit_strategy!r}"
@@ -468,42 +469,30 @@ class ServiceState:
         abort the rest of the batch.
 
         ``strategy`` picks how kappa is repaired: ``"incremental"``
-        applies Rule 0 per-op repairs through the maintainer,
-        ``"batch"`` coalesces the script to its net edge diff and runs
-        one affected-region pass per op cluster (the opt-in choice for
-        bursty multi-op streams, where it beats per-op repair by 3-24x),
+        (or its alias ``"batch"``) coalesces the script to its net edge
+        diff and applies Rule 0 per-op repairs through the maintainer,
         ``"recompute"`` replays the script structurally and runs one
         fresh decomposition (cheapest at very high churn), ``"auto"``
-        (default) mirrors the maintainer's measured tiering — recompute
-        at or above the churn crossover
-        (:attr:`DynamicTriangleKCore.AUTO_RECOMPUTE_CHURN`), per-op
-        repair below it.
+        (default) resolves through
+        :meth:`DynamicTriangleKCore.resolve_strategy` with the script's
+        op count — recompute at or above the churn crossover, per-op
+        repair below it.  The response names the resolved strategy.
 
-        The incremental and batch paths never snapshot the kappa map:
+        The incremental path never snapshots the kappa map:
         the reported ``delta`` counts come straight from the
         maintainer's :class:`~repro.core.dynamic.KappaDelta` recorder.
         Only the recompute path (which swaps the maintainer wholesale)
         still pays the O(|E|) before-snapshot.
         """
-        from ..core.dynamic import DynamicTriangleKCore
-
-        strategy = strategy or self.edit_strategy
-        if strategy not in ("incremental", "recompute", "auto", "batch"):
-            raise ServiceError(
-                400,
-                ERR_BAD_REQUEST,
-                "strategy must be incremental/recompute/auto/batch, "
-                f"got {strategy!r}",
-            )
         with self._write_lock:
             prev_version = self.version
             maintainer = self.maintainer
-            if strategy == "auto":
-                churn = len(script) / max(self.graph.num_edges, 1)
-                if churn >= DynamicTriangleKCore.AUTO_RECOMPUTE_CHURN:
-                    strategy = "recompute"
-                else:
-                    strategy = "incremental"
+            try:
+                strategy = maintainer.resolve_strategy(
+                    strategy or self.edit_strategy, n_ops=len(script)
+                )
+            except ValueError as error:
+                raise ServiceError(400, ERR_BAD_REQUEST, str(error)) from None
             if strategy == "recompute":
                 before_kappa = dict(maintainer.kappa)
                 applied, rejected = self._replay_by_recompute(script)
@@ -529,12 +518,6 @@ class ServiceState:
                 deleted = len(delta.deleted)
                 promoted = len(delta.promoted)
                 demoted = len(delta.demoted)
-                if delta.stats.strategy == "batch":
-                    self.engine.stats.record_batch(
-                        delta.stats.region_edges,
-                        delta.stats.settle_iterations,
-                        delta.stats.bound_prune_hits,
-                    )
             self._edits_applied += applied
             self._edit_batches += 1
             return {
@@ -564,7 +547,6 @@ class ServiceState:
         version is advanced past the old one so the monotonic-version
         contract survives the swap.
         """
-        from ..core.dynamic import DynamicTriangleKCore
         from ..testing.editscript import apply_op
 
         old_version = self.version

@@ -46,10 +46,8 @@ from .fuzz import FuzzResult, ProfileOutcome, fuzz
 from .oracles import (
     DEFAULT_ORACLES,
     ORACLE_NAMES,
-    BatchBoundaryBugMaintainer,
     CheckpointOracles,
     OffByOneMaintainer,
-    batch_boundary_bug_sut,
     default_sut,
     networkx_available,
     perturbed_sut_factory,
@@ -60,7 +58,6 @@ from .shrink import ShrinkResult, shrink_script
 from .workloads import PROFILES, generate
 
 __all__ = [
-    "BatchBoundaryBugMaintainer",
     "CheckpointOracles",
     "CoalescedScript",
     "DEFAULT_ORACLES",
@@ -79,7 +76,6 @@ __all__ = [
     "ShrinkResult",
     "apply_coalesced",
     "apply_op",
-    "batch_boundary_bug_sut",
     "coalesce",
     "default_sut",
     "expected_outcome",

@@ -45,11 +45,13 @@ class ReproBundle:
     description: str = ""
     shrunk: bool = False
     #: Runner apply mode the divergence was found under ("per_op" or
-    #: "batch"); batch-mode bundles must replay in batch mode or a
-    #: batch-only bug silently replays clean.
+    #: "batch"); chunked bundles must replay chunked or a bug that only
+    #: shows at chunk granularity silently replays clean.  A
+    #: ``batch_strategy`` of ``"batch"`` (written by older bundles) is
+    #: the maintainer's alias of ``"incremental"``.
     apply_mode: str = "per_op"
     batch_ops: int = 50
-    batch_strategy: str = "batch"
+    batch_strategy: str = "incremental"
     format_version: str = FORMAT
 
     # -------------------------------------------------------------- #
@@ -105,7 +107,7 @@ class ReproBundle:
             shrunk=obj.get("shrunk", False),
             apply_mode=obj.get("apply_mode", "per_op"),
             batch_ops=obj.get("batch_ops", 50),
-            batch_strategy=obj.get("batch_strategy", "batch"),
+            batch_strategy=obj.get("batch_strategy", "incremental"),
             format_version=version,
         )
 

@@ -219,10 +219,10 @@ class CoalescedScript:
     Produced by :func:`coalesce`: the ops collapse to one batch of net
     edge removals and insertions (plus isolated-vertex adds/removals),
     exactly what :meth:`DynamicTriangleKCore.diff_apply
-    <repro.core.dynamic.DynamicTriangleKCore.diff_apply>` consumes for
-    ``strategy="batch"``.  ``remove_vertex`` ops are expanded into their
-    incident edge removals; add-then-remove (or remove-then-re-add) of
-    the same edge cancels out.  Because kappa is a pure function of the
+    <repro.core.dynamic.DynamicTriangleKCore.diff_apply>` consumes.
+    ``remove_vertex`` ops are expanded into their incident edge
+    removals; add-then-remove (or remove-then-re-add) of the same edge
+    cancels out.  Because kappa is a pure function of the
     graph, applying the net batch yields bit-identical kappa to applying
     the ops one at a time.
     """
@@ -374,7 +374,9 @@ def coalesce(graph: Graph, script: EditScript) -> CoalescedScript:
     )
 
 
-def apply_coalesced(maintainer, co: CoalescedScript, *, strategy: str = "batch"):
+def apply_coalesced(
+    maintainer, co: CoalescedScript, *, strategy: str = "incremental"
+):
     """Apply a :class:`CoalescedScript` through a dynamic maintainer.
 
     Isolated-vertex adds go first (edge insertions auto-create their own

@@ -103,7 +103,7 @@ def fuzz(
     stop_on_failure: bool = True,
     apply_mode: str = "per_op",
     batch_ops: int = 50,
-    batch_strategy: str = "batch",
+    batch_strategy: str = "incremental",
 ) -> FuzzResult:
     """Fuzz the dynamic maintainer across workload profiles.
 
@@ -111,7 +111,7 @@ def fuzz(
     extra hook the mutation smoke-check uses to inject a deliberately buggy
     maintainer, and ``oracle_options`` configures the oracle matrix (see
     :func:`~repro.testing.runner.run_script`).  ``apply_mode="batch"``
-    fuzzes the whole-batch write path instead: chunks of ``batch_ops``
+    drives the maintainer in chunks instead: chunks of ``batch_ops``
     ops are coalesced and applied via ``diff_apply(strategy=batch_strategy)``
     (see :func:`~repro.testing.runner.run_script`).  Returns a
     :class:`FuzzResult`; on divergence each failing outcome carries a

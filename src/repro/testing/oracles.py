@@ -20,12 +20,10 @@ kappa map against every *checkpoint oracle* registered here:
     run on the shadow graph.  Opt-in.
 ``per_op``
     A second :class:`DynamicTriangleKCore` fed the net edge diff *one op
-    at a time* with incremental repairs.  Opt-in, aimed at the batch
-    maintainer mode: when the SUT applies whole edit batches with
-    ``strategy="batch"``, this oracle pits the single affected-region
-    pass against the per-op Algorithm 2 cascades at every checkpoint
-    (the recompute oracle completes the batch/per-op/recompute
-    differential cell).
+    at a time* with incremental repairs.  Opt-in, aimed at the chunked
+    runner mode: when the SUT applies whole coalesced chunks (under
+    ``"recompute"`` or ``"auto"``, say), this oracle pits that write path
+    against the per-op Algorithm 2 cascades at every checkpoint.
 
 Fault injection lives here too: :class:`OffByOneMaintainer` wraps the real
 maintainer and misreports kappa by +1 on a chosen level.  The mutation
@@ -150,8 +148,8 @@ class CheckpointOracles:
 
         Kappa is a pure function of the graph, so feeding the *net* diff
         one op at a time is equivalent to replaying the original op
-        sequence — and exercises the per-op Algorithm 2 cascades the
-        batch strategy must stay bit-identical to.
+        sequence — and exercises the per-op Algorithm 2 cascades every
+        chunked write path must stay bit-identical to.
         """
         if self._per_op is None:
             self._per_op = DynamicTriangleKCore(Graph(), copy=False)
@@ -218,31 +216,3 @@ def perturbed_sut_factory(level: int) -> SutFactory:
         return OffByOneMaintainer(graph, level=level, copy=False)
 
     return factory
-
-
-class BatchBoundaryBugMaintainer(DynamicTriangleKCore):
-    """A deliberately buggy batch maintainer: drops one affected-region edge.
-
-    Overrides the :meth:`_trim_batch_region` seam to silently discard one
-    boundary edge (the repr-max non-inserted member) from the affected
-    region before the localized settle — the canonical batch-maintenance
-    bug class: an under-approximated region leaves a stale kappa behind
-    exactly when that edge needed a promote/demote cascade.  Inserted
-    edges are never dropped (they have no kappa yet, so dropping one
-    would crash rather than silently corrupt).
-
-    The batch mutation smoke-check proves the fuzzer's batch mode catches
-    and shrinks this.
-    """
-
-    def _trim_batch_region(self, region, inserted):
-        droppable = sorted(region - inserted, key=repr)
-        if droppable:
-            region = set(region)
-            region.discard(droppable[-1])
-        return region
-
-
-def batch_boundary_bug_sut(graph: Graph) -> DynamicTriangleKCore:
-    """Factory for :class:`BatchBoundaryBugMaintainer`."""
-    return BatchBoundaryBugMaintainer(graph, copy=False)

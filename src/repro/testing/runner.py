@@ -204,7 +204,7 @@ def run_script(
     check_invariants: bool = True,
     apply_mode: str = "per_op",
     batch_ops: int = 50,
-    batch_strategy: str = "batch",
+    batch_strategy: str = "incremental",
 ) -> RunReport:
     """Play ``script`` from an empty graph, cross-checking as documented.
 
@@ -212,8 +212,8 @@ def run_script(
     :class:`CheckpointOracles` (e.g. ``external_partitions`` for the
     opt-in ``"external"`` oracle).
 
-    ``apply_mode="batch"`` drives the maintainer in whole-batch mode
-    instead: the script is cut into chunks of ``batch_ops`` ops, each
+    ``apply_mode="batch"`` drives the maintainer in chunks instead (any
+    strategy, ``"incremental"`` by default): the script is cut into chunks of ``batch_ops`` ops, each
     chunk is :func:`~repro.testing.editscript.coalesce`-d against the
     shadow graph and applied through ``diff_apply(strategy=batch_strategy)``.
     Intermediate per-op states never exist in this mode, so the per-op
@@ -222,7 +222,7 @@ def run_script(
     ``expected_outcome`` tallies, the net apply must not raise, and the
     kappa key set must track the shadow edge set.  Checkpoints (structural
     + full oracle matrix) run at every chunk boundary — the densest
-    granularity at which the batch SUT has a well-defined state — so
+    granularity at which the chunked SUT has a well-defined state — so
     ``checkpoint_every`` is ignored.
 
     Returns a :class:`RunReport`; ``report.ok`` is False exactly when a
@@ -297,8 +297,9 @@ def run_script(
                 )
             try:
                 apply_coalesced(sut, co, strategy=batch_strategy)
-            except Exception as error:  # surfaced, not masked: batch net
-                # diffs are pre-validated, so any raise is a divergence.
+            except Exception as error:  # surfaced, not masked: coalesced
+                # net diffs are valid by construction, so any raise is a
+                # divergence.
                 return RunReport(
                     steps=steps,
                     checkpoints=checkpoints,

@@ -11,7 +11,7 @@ cache), an optional live :class:`~repro.service.client.ServiceClient`
 are applied through.
 
 Every mutation reports into the engine's ``workspace`` stats section
-(``repro.engine.stats/7``), so one ``--stats`` payload tells the whole
+(``repro.engine.stats/8``), so one ``--stats`` payload tells the whole
 story of a session.
 """
 
@@ -25,7 +25,13 @@ from ..engine import Engine
 from ..exceptions import WorkspaceError
 from ..graph.edge import Vertex
 from ..graph.undirected import Graph
-from ..testing.editscript import EditOp
+from ..testing.editscript import (
+    OUTCOME_OK,
+    EditOp,
+    EditScript,
+    apply_coalesced,
+    coalesce,
+)
 from .views import VIEW_KINDS, View
 
 #: Graph/view names must be shell-token friendly.
@@ -291,37 +297,17 @@ class Workspace:
         """Apply an edit script to graph ``name`` via its maintainer.
 
         Total semantics (like the fuzz harness): inapplicable ops —
-        duplicate adds, removals of absent edges/vertices, self loops —
-        are skipped, not errors.  Dependent views are invalidated.
-        Returns ``(applied, skipped, max_kappa_after)``.
+        duplicate adds, removals of absent edges/vertices, self loops,
+        adds of present vertices — are skipped, not errors.  The script
+        is coalesced to its net edge diff and applied in one
+        ``diff_apply`` (the service's write path).  Dependent views are
+        invalidated.  Returns ``(applied, skipped, max_kappa_after)``.
         """
-        graph = self.graph_of(name)
         maintainer = self._maintainer(name)
-        applied = skipped = 0
-        for op in ops:
-            if op.kind == "add":
-                if op.u == op.v or graph.has_edge(op.u, op.v):
-                    skipped += 1
-                    continue
-                maintainer.add_edge(op.u, op.v)
-            elif op.kind == "remove":
-                if not graph.has_edge(op.u, op.v):
-                    skipped += 1
-                    continue
-                maintainer.remove_edge(op.u, op.v)
-            elif op.kind == "add_vertex":
-                if graph.has_vertex(op.u):
-                    skipped += 1
-                    continue
-                maintainer.add_vertex(op.u)
-            elif op.kind == "remove_vertex":
-                if not graph.has_vertex(op.u):
-                    skipped += 1
-                    continue
-                maintainer.remove_vertex(op.u)
-            else:
-                raise WorkspaceError(f"unknown edit op kind {op.kind!r}")
-            applied += 1
+        co = coalesce(maintainer.graph, EditScript(ops=list(ops)))
+        apply_coalesced(maintainer, co)
+        applied = co.outcomes.get(OUTCOME_OK, 0)
+        skipped = len(ops) - applied
         invalidated = 0
         if applied:
             for view in self.views.values():

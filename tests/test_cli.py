@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 
@@ -296,6 +298,36 @@ class TestFuzz:
         ) == 1
         assert "DIVERGED" in capsys.readouterr().out
 
+    def test_batch_strategy_is_an_alias(self, capsys):
+        assert main(
+            ["fuzz", "--ops", "60", "--profile", "churn",
+             "--strategy", "batch", "--batch-ops", "20"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "diff_apply(strategy='batch')" in out
+        assert "no divergence" in out
+
+    def test_replays_a_bundle_naming_the_batch_strategy(
+        self, tmp_path, capsys
+    ):
+        """Bundles written while "batch" was its own strategy replay
+        through the alias."""
+        from repro.testing import ReproBundle, generate
+
+        path = tmp_path / "bundle.json"
+        ReproBundle(
+            script=generate("triangle_bursts", 0, 80),
+            profile="triangle_bursts",
+            apply_mode="batch",
+            batch_ops=20,
+            batch_strategy="batch",
+        ).save(path)
+        assert json.loads(path.read_text())["batch_strategy"] == "batch"
+        assert main(["fuzz", "--replay", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "diff_apply(strategy='batch')" in out
+        assert "replay clean" in out
+
 
 class TestEngineFlags:
     """PR 3: ``--stats`` / ``--backend`` wiring and the dualview subcommand."""
@@ -306,7 +338,7 @@ class TestEngineFlags:
 
         lines = capsys.readouterr().out.strip().splitlines()
         payload = json.loads(lines[-1])
-        assert payload["schema"] == "repro.engine.stats/7"
+        assert payload["schema"] == "repro.engine.stats/8"
         return payload
 
     def test_decompose_stats_json(self, edge_file, capsys):

@@ -31,7 +31,6 @@ from repro.testing import (
     ReproBundle,
     apply_coalesced,
     apply_op,
-    batch_boundary_bug_sut,
     coalesce,
     expected_outcome,
     fuzz,
@@ -193,7 +192,7 @@ class TestCoalesce:
             apply_op(shadow, op)
         maintainer = DynamicTriangleKCore(Graph(), copy=False)
         co = coalesce(maintainer.graph, script)
-        apply_coalesced(maintainer, co, strategy="batch")
+        apply_coalesced(maintainer, co)
         assert maintainer.graph == shadow
         from repro.core import triangle_kcore_decomposition
 
@@ -240,7 +239,7 @@ class TestTier1Matrix:
 
     @pytest.mark.parametrize("profile", ALL_PROFILES)
     def test_no_divergence_batch_mode(self, profile):
-        """The whole-batch write path under the same oracle matrix."""
+        """Chunked diff_apply writes under the same oracle matrix."""
         report = run_script(
             generate(profile, 0, 150),
             apply_mode="batch",
@@ -339,52 +338,9 @@ class TestMutationSmokeCheck:
         assert fails(result.script)
 
 
-class TestBatchMutationSmokeCheck:
-    """A green batch fuzz run is meaningful: an injected batch-boundary
-    bug (one affected-region edge silently dropped before settling) must
-    be detected, shrunk, and must replay clean on the real maintainer."""
-
-    def test_batch_boundary_bug_is_detected_and_shrunk(self):
-        result = fuzz(
-            seed=0,
-            ops=200,
-            profiles=["triangle_bursts"],
-            sut_factory=batch_boundary_bug_sut,
-            apply_mode="batch",
-            batch_ops=25,
-            shrink=True,
-        )
-        assert not result.ok, (
-            "the harness failed to notice the injected batch-boundary "
-            "bug (dropped affected-region edge)"
-        )
-        failure = result.first_failure
-        bundle = failure.bundle
-        assert bundle is not None and failure.shrink is not None
-        assert bundle.apply_mode == "batch"
-        assert bundle.divergence is not None
-        # Minimal trigger: a region edge NOT inserted in the same chunk
-        # whose kappa must still move — a handful of ops, not hundreds.
-        assert len(bundle.script) <= 10
-        # The recorded (tightened) chunking replays the divergence...
-        assert not replay(bundle, sut_factory=batch_boundary_bug_sut).ok
-        # ...and the same bundle is clean on the real maintainer.
-        assert replay(bundle).ok
-
-    def test_per_op_mode_does_not_trip_the_batch_bug(self):
-        """The seam only affects the batch path, pinning that per-op
-        coverage alone would have missed this bug class."""
-        report = run_script(
-            generate("triangle_bursts", 0, 200),
-            checkpoint_every=50,
-            sut_factory=batch_boundary_bug_sut,
-        )
-        assert report.ok, report.divergence
-
-
 class TestPerOpOracle:
     """The per_op differential oracle: a stateful per-op maintainer fed
-    net diffs at every checkpoint, so batch-mode runs are checked against
+    net diffs at every checkpoint, so chunked runs are checked against
     genuinely per-op application (not just recompute)."""
 
     def test_per_op_is_optin_not_default(self):
@@ -402,18 +358,6 @@ class TestPerOpOracle:
         )
         assert report.ok, report.divergence
         assert "per_op" in report.oracles
-
-    def test_per_op_oracle_catches_batch_bug(self):
-        report = run_script(
-            generate("triangle_bursts", 0, 200),
-            oracles=("per_op",),
-            sut_factory=batch_boundary_bug_sut,
-            apply_mode="batch",
-            batch_ops=25,
-        )
-        assert not report.ok
-        assert report.divergence.kind == "oracle"
-        assert report.divergence.oracle == "per_op"
 
 
 # ------------------------------------------------------------------ #

@@ -298,8 +298,7 @@ class TestEdgeKeyMap:
         check()
         maintainer.remove_vertex(200)
         check()
-        # An op that raises midway: the per-op path has applied the ops
-        # before it; the batch and recompute paths reject up front.
+        # An op that raises midway: every strategy rejects up front.
         present = sorted(maintainer.graph.edges())[0]
         good = next(
             (u, v)
@@ -307,11 +306,11 @@ class TestEdgeKeyMap:
             for v in range(u + 1, 24)
             if u != 3 and v != 3 and not maintainer.graph.has_edge(u, v)
         )
-        with pytest.raises(EdgeExistsError):
-            maintainer.apply(added=[good, present])
-        check()
-        assert maintainer.graph.has_edge(*good)
-        for strategy in ("batch", "recompute"):
+        for strategy in DynamicTriangleKCore.STRATEGIES:
+            with pytest.raises(EdgeExistsError):
+                maintainer.apply(added=[good, present], strategy=strategy)
+            check()
+            assert not maintainer.graph.has_edge(*good)
             with pytest.raises(EdgeNotFoundError):
                 maintainer.apply(removed=[present, good, good],
                                  strategy=strategy)
@@ -410,19 +409,25 @@ class TestApplyStrategies:
         with pytest.raises(StaleIndexError):
             maintainer.apply(removed=[(0, 1)], strategy="recompute")
 
-    @pytest.mark.parametrize("strategy", ["recompute", "auto"])
+    @pytest.mark.parametrize("strategy", DynamicTriangleKCore.STRATEGIES)
     def test_recompute_is_all_or_nothing_on_invalid_op(self, strategy):
-        """A bad op rejects the whole recompute batch before any mutation.
+        """A bad op rejects the whole batch before any mutation.
 
-        Before pre-validation the recompute path inserted (1, 3), raised
-        on the duplicate (0, 1), and left kappa and the edge count stale,
-        so the next call raised a false StaleIndexError.  Two ops on a
-        four-edge graph is 50% churn, so ``auto`` resolves to recompute.
+        Every strategy validates the batch first.  Without that the
+        per-op path inserted (1, 3) and then raised on the duplicate
+        (0, 1), and the recompute path also left kappa and the edge
+        count stale.  Two ops on this 34-edge graph is under 10% churn,
+        so ``auto`` resolves to incremental.
         """
-        maintainer = DynamicTriangleKCore(
-            Graph(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
+        g = complete_graph(8, offset=10)
+        for u, v in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 10), (3, 11)]:
+            g.add_edge(u, v)
+        maintainer = DynamicTriangleKCore(g)
+        assert maintainer.resolve_strategy(strategy, 2) == (
+            "recompute" if strategy == "recompute" else "incremental"
         )
         before = dict(maintainer.kappa)
+        version = maintainer.graph.version
         with pytest.raises(EdgeExistsError):
             maintainer.apply(added=[(1, 3), (0, 1)], strategy=strategy)
         with pytest.raises(EdgeNotFoundError):
@@ -430,15 +435,16 @@ class TestApplyStrategies:
         with pytest.raises(SelfLoopError):
             maintainer.apply(added=[(1, 3), (3, 3)], strategy=strategy)
         assert maintainer.kappa == before
+        assert maintainer.graph.version == version
         assert not maintainer.graph.has_edge(1, 3)
         assert maintainer.graph.has_edge(2, 3)
         stats = maintainer.apply(added=[(1, 3)], strategy=strategy)
-        assert stats.strategy == "recompute"
+        assert stats.strategy == maintainer.resolve_strategy(strategy, 1)
         assert_matches_static(maintainer)
 
 
 class TestBatchStrategy:
-    """strategy="batch": one affected-region pass, bit-identical to per-op."""
+    """strategy="batch" is an alias of "incremental" and reports it."""
 
     def test_batch_matches_per_op_mixed_script(self):
         g = erdos_renyi(30, 0.25, seed=51)
@@ -448,7 +454,8 @@ class TestBatchStrategy:
         a = DynamicTriangleKCore(g)
         a.apply(added=added, removed=removed, strategy="incremental")
         b = DynamicTriangleKCore(g)
-        b.apply(added=added, removed=removed, strategy="batch")
+        delta = b.diff_apply(added=added, removed=removed, strategy="batch")
+        assert delta.stats.strategy == "incremental"
         assert a.kappa == b.kappa
         assert a.graph == b.graph
         assert_matches_static(b)
@@ -470,19 +477,19 @@ class TestBatchStrategy:
         stats = maintainer.apply(
             added=[(0, 1)], removed=[(0, 1)], strategy="batch"
         )
-        assert stats.strategy == "batch"
+        assert stats.strategy == "incremental"
         assert maintainer.kappa[(0, 1)] == 3
         assert_matches_static(maintainer)
 
     def test_empty_batch(self, k5):
         maintainer = DynamicTriangleKCore(k5)
         stats = maintainer.apply(strategy="batch")
-        assert stats.strategy == "batch"
+        assert stats.strategy == "incremental"
         assert stats.edges_changed == 0
         assert_matches_static(maintainer)
 
     def test_batch_is_all_or_nothing_on_invalid_op(self):
-        """Pre-validation: a bad op rejects the whole batch untouched."""
+        """The alias keeps the all-or-nothing contract."""
         g = complete_graph(5)
         maintainer = DynamicTriangleKCore(g)
         before = dict(maintainer.kappa)
@@ -496,8 +503,8 @@ class TestBatchStrategy:
         assert not maintainer.graph.has_edge(0, 9)
 
     def test_auto_never_picks_batch(self):
-        """Batch is opt-in: the measured crossovers put auto's winners at
-        incremental (light churn) and recompute (heavy churn)."""
+        """The measured crossovers put auto's winners at incremental
+        (light churn) and recompute (heavy churn)."""
         g = erdos_renyi(40, 0.3, seed=53)
         maintainer = DynamicTriangleKCore(g)
         stats = maintainer.apply(
@@ -515,7 +522,7 @@ class TestBatchStrategy:
 
 class TestUpdateStatsContract:
     """Which UpdateStats fields each strategy guarantees (documented on
-    the class) — pinned for all strategies including batch."""
+    the class) — pinned for every strategy."""
 
     def _graph(self):
         return erdos_renyi(25, 0.3, seed=61)
@@ -534,7 +541,6 @@ class TestUpdateStatsContract:
         assert stats.strategy == "incremental"
         assert stats.full_snapshots == 0
         assert stats.candidates_examined > 0
-        assert stats.region_edges == 0  # batch-only counter
 
     def test_recompute_contract(self):
         g = self._graph()
@@ -545,19 +551,6 @@ class TestUpdateStatsContract:
         assert stats.strategy == "recompute"
         assert stats.full_snapshots == 1
         assert stats.edges_changed > 0
-
-    def test_batch_contract(self):
-        g = self._graph()
-        added, removed = self._ops(g)
-        stats = DynamicTriangleKCore(g).apply(
-            added=added, removed=removed, strategy="batch"
-        )
-        assert stats.strategy == "batch"
-        assert stats.full_snapshots == 0
-        # Every inserted edge is in the region, so it is at least that big.
-        assert stats.region_edges >= len(added)
-        assert stats.settle_iterations >= stats.region_edges
-        assert stats.edges_changed >= len(added) + len(removed)
 
     def test_diff_apply_takes_no_full_snapshot_incremental_or_batch(self):
         """Satellite: the O(|E|) kappa copy is recompute-only now."""
@@ -574,20 +567,18 @@ class TestUpdateStatsContract:
     def test_merge_stats_sums_new_counters(self):
         g = complete_graph(6)
         maintainer = DynamicTriangleKCore(g)
-        s1 = maintainer.apply(removed=[(0, 1)], strategy="batch")
-        s2 = maintainer.apply(added=[(0, 1)], strategy="batch")
+        s1 = maintainer.apply(removed=[(0, 1)])
+        s2 = maintainer.apply(added=[(0, 1)])
         from repro.core.dynamic import UpdateStats
 
         merged = UpdateStats()
         DynamicTriangleKCore._merge_stats(merged, s1)
         DynamicTriangleKCore._merge_stats(merged, s2)
-        assert merged.region_edges == s1.region_edges + s2.region_edges
-        assert merged.settle_iterations == (
-            s1.settle_iterations + s2.settle_iterations
-        )
-        assert merged.bound_prune_hits == (
-            s1.bound_prune_hits + s2.bound_prune_hits
-        )
+        for field in ("candidates_examined", "edges_changed",
+                      "levels_touched", "full_snapshots"):
+            assert getattr(merged, field) == (
+                getattr(s1, field) + getattr(s2, field)
+            ), field
 
 
 class TestDiffApply:
@@ -695,6 +686,15 @@ class TestMaxKappa:
             top = [e for e, k in maintainer.kappa.items() if k == level]
             maintainer.diff_apply(removed=top, strategy=strategy)
             assert maintainer.max_kappa == self.scan(maintainer) < level
+
+    def test_apply_advances_the_cache_without_a_scan(self):
+        """apply shares diff_apply's write path, cache upkeep included."""
+        maintainer = DynamicTriangleKCore(complete_graph(5))
+        assert maintainer.max_kappa == 3
+        maintainer.apply(added=[(10, 11), (11, 12), (10, 12)])
+        assert maintainer._max_kappa == (maintainer.graph.version, 3)
+        maintainer.apply(added=[(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)])
+        assert maintainer._max_kappa == (maintainer.graph.version, 4)
 
     def test_delta_advances_the_cache_without_a_scan(self):
         maintainer = DynamicTriangleKCore(complete_graph(5))

@@ -10,7 +10,7 @@ level, or the incremental/recompute strategy crossover.
 
 import pytest
 
-from repro.core import triangle_kcore_decomposition
+from repro.core import DynamicTriangleKCore, triangle_kcore_decomposition
 from repro.engine import Engine
 from repro.graph import Graph
 from repro.testing.editscript import apply_op
@@ -49,10 +49,13 @@ def test_dynamic_backend_bit_identical_to_recompute(profile, seed):
     assert engine.stats.counters.get("dynamic_updates", 0) >= len(snapshots) - 2
 
 
-@pytest.mark.parametrize("strategy", ["incremental", "recompute", "auto"])
+@pytest.mark.parametrize("strategy", DynamicTriangleKCore.STRATEGIES)
 def test_every_dynamic_strategy_agrees(strategy):
+    """Every accepted strategy, the "batch" alias of "incremental" too."""
     snapshots = snapshot_sequence("churn", 3)
     engine = Engine(dynamic_strategy=strategy)
     for snap in snapshots:
         got = engine.decompose(snap, backend="dynamic", use_cache=False)
         assert got.kappa == triangle_kcore_decomposition(snap).kappa
+    assert engine.stats.counters["dynamic_updates"] >= 1
+    assert "batch" not in engine.stats_dict()

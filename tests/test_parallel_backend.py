@@ -256,22 +256,23 @@ class TestAutoPolicy:
 
 
 # ------------------------------------------------------------------ #
-# engine stats: schema /7
+# engine stats: schema /8
 # ------------------------------------------------------------------ #
 
 
 class TestStatsSchema:
     def test_schema_bumped(self):
-        assert STATS_SCHEMA == "repro.engine.stats/7"
+        assert STATS_SCHEMA == "repro.engine.stats/8"
 
     def test_v1_keys_still_present(self):
-        # Old readers keep working: the /1 keys survive every bump, and
-        # /7 dropped only the parallel section.
+        # Old readers keep working: the /1 keys survive every bump, /7
+        # dropped only the parallel section and /8 only the batch one.
         payload = EngineStats().as_dict()
         assert {"schema", "counters", "backend_calls", "stage_seconds"} <= (
             set(payload)
         )
         assert "parallel" not in payload
+        assert "batch" not in payload
 
 
 # ------------------------------------------------------------------ #

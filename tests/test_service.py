@@ -119,7 +119,7 @@ class TestReadConformance:
 
     def test_stats_has_engine_and_service_sections(self, client):
         stats = client.stats()
-        assert stats["schema"] == "repro.engine.stats/7"
+        assert stats["schema"] == "repro.engine.stats/8"
         service = stats["service"]
         assert service["schema"] == "repro.service/1"
         assert service["graph"]["edges"] == make_fixture_graph().num_edges
@@ -249,27 +249,24 @@ class TestEdits:
         self.run_script_and_check_oracle(script, strategy=strategy)
 
     def test_batch_strategy_counts_rejections(self):
-        """Batch coalescing must classify adversarial ops like per-op."""
+        """Coalescing must classify adversarial ops like per-op."""
         outcome = self.run_script_and_check_oracle(
             generate("adversarial", seed=2, n_ops=30), strategy="batch"
         )
         assert sum(outcome.rejected.values()) > 0
         assert outcome.applied + sum(outcome.rejected.values()) == 30
 
-    def test_batch_edits_feed_engine_batch_stats(self):
-        """A batch /edits must show up in the /stats ``batch`` section."""
-        with BackgroundServer(make_fixture_graph()) as server:
+    def test_batch_strategy_is_an_alias(self):
+        """``"strategy": "batch"`` and ``--edit-strategy batch`` run the
+        incremental path, and the response names what ran."""
+        script = generate("triangle_bursts", seed=9, n_ops=25).to_json_obj()
+        state = ServiceState(make_fixture_graph(), edit_strategy="batch")
+        with BackgroundServer(state=state) as server:
             with ServiceClient("127.0.0.1", server.port) as client:
-                before = client.stats().get("batch", {})
-                client.edits(
-                    generate("triangle_bursts", seed=9, n_ops=25),
-                    strategy="batch",
-                )
-                after = client.stats()["batch"]
-                assert after["applies"] == before.get("applies", 0) + 1
-                assert after["settle_iterations"] >= before.get(
-                    "settle_iterations", 0
-                )
+                for body in (script, dict(script, strategy="batch")):
+                    doc = client.request("POST", "/edits", body=body)[1]
+                    assert doc["strategy"] == "incremental"
+                assert "batch" not in client.stats()
 
     @pytest.mark.parametrize(
         "profile", ["uniform", "churn", "triangle_bursts", "grow_shrink", "adversarial"]
@@ -378,7 +375,8 @@ class TestBackpressure:
             assert all(e.status == 503 for e in overloaded)
             assert all(e.code == "overloaded" for e in overloaded)
             assert answered, "some requests should still succeed"
-            stats = ServiceClient("127.0.0.1", server.port).stats()
+            with ServiceClient("127.0.0.1", server.port) as client:
+                stats = client.stats()
             assert stats["service"]["rejected"]["overloaded"] == len(
                 overloaded
             )

@@ -2,7 +2,7 @@
 
 Contract: with ``--stats``, a subcommand's **last stdout line** is exactly
 one JSON object validating against the engine stats schema
-(``repro.engine.stats/7``) — everything human-readable goes above it, so
+(``repro.engine.stats/8``) — everything human-readable goes above it, so
 scripts can always ``tail -1 | jq``.  The ``serve`` subcommand honours the
 same contract by dumping stats after its SIGTERM drain, and ``shell`` by
 dumping stats after its last command.
@@ -26,7 +26,7 @@ from repro.graph import Graph, write_edge_list
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Required top-level keys of the stats /7 schema.
+#: Required top-level keys of the stats /8 schema.
 STATS_KEYS = {
     "schema",
     "counters",
@@ -34,7 +34,6 @@ STATS_KEYS = {
     "stage_seconds",
     "peel",
     "external",
-    "batch",
     "workspace",
     "default_backend",
     "cached_graphs",
@@ -48,7 +47,7 @@ def assert_stats_contract(stdout: str) -> dict:
     assert lines, "no output produced"
     payload = json.loads(lines[-1])
     assert isinstance(payload, dict)
-    assert payload["schema"] == "repro.engine.stats/7"
+    assert payload["schema"] == "repro.engine.stats/8"
     assert STATS_KEYS <= set(payload), sorted(STATS_KEYS - set(payload))
     # Exactly one JSON object: the line above it (if any) must NOT parse
     # as a JSON object (it is human-readable prose).
@@ -87,25 +86,26 @@ def _stats_argvs(edge_file, tmp_path):
 
 
 class TestSchemaCompat:
-    """Schema bumps only add sections, except /7's one removal.
+    """Schema bumps only add sections, except the removals of /7 and /8.
 
     /4 added the "peel" section, /5 the "external" section and /6 the
     "workspace" section, each a strict superset of its predecessor.  /7
     removed the "parallel" section together with the process-parallel
-    backends it described; every other /6 key is unchanged, so a /6
-    reader that never read "parallel" keeps working.
+    backends it described, and /8 the "batch" section together with the
+    batch update strategy; every other /7 key is unchanged, so a /7
+    reader that never read "batch" keeps working.
     """
 
-    V6_KEYS = {
+    V7_KEYS = {
         "schema", "counters", "backend_calls", "stage_seconds",
-        "parallel", "batch", "peel", "external", "workspace",
+        "batch", "peel", "external", "workspace",
     }
 
-    def test_v7_drops_only_the_parallel_section_from_v6(self):
+    def test_v8_drops_only_the_batch_section_from_v7(self):
         from repro.engine import EngineStats
 
         payload = EngineStats().as_dict()
-        assert set(payload) == self.V6_KEYS - {"parallel"}
+        assert set(payload) == self.V7_KEYS - {"batch"}
 
     def test_workspace_section_populates_from_workspace_use(self):
         from repro.engine import Engine

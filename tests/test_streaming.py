@@ -49,6 +49,23 @@ class TestWindowMechanics:
         assert monitor.num_edges == 1
 
 
+class TestMaxKappaCache:
+    def test_writes_keep_max_kappa_current_without_a_scan(self):
+        """Insertions and expiry sweeps go through diff_apply, which
+        advances the maintainer's cached maximum from its delta."""
+        monitor = SlidingWindowDensity(window=10)
+        monitor.observe(10, 11, 0)
+        for t, (u, v) in enumerate([(0, 1), (1, 2), (0, 2)], start=5):
+            monitor.observe(u, v, t)
+        assert monitor.max_kappa == 1
+        maintainer = monitor._maintainer
+        monitor.observe(2, 3, 8)
+        assert maintainer._max_kappa == (maintainer.graph.version, 1)
+        assert monitor.advance_to(10.5) == 1  # only (10, 11) expires
+        assert maintainer._max_kappa == (maintainer.graph.version, 1)
+        assert monitor.max_kappa == 1
+
+
 class TestQueries:
     def test_kappa_of_live_edge(self):
         monitor = SlidingWindowDensity(window=100)

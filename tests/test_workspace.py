@@ -228,6 +228,33 @@ class TestWorkspace:
         assert not view.stale
         assert subgraph.num_vertices == len(view.vertices)
 
+    def test_edit_keeps_max_kappa_current_without_a_scan(self):
+        class ScanCounter(dict):
+            scans = 0
+
+            def values(self):
+                self.scans += 1
+                return super().values()
+
+        ws = Workspace()
+        ws.add_graph("g", karate())
+        ws.edit("g", [EditOp("add", 0, 9)])
+        maintainer = ws._maintainers["g"]
+        maintainer._kappa = ScanCounter(maintainer._kappa)
+        applied, skipped, max_kappa = ws.edit(
+            "g",
+            [
+                EditOp("add", 100, 101),
+                EditOp("add", 101, 102),
+                EditOp("add", 100, 102),
+                EditOp("add", 100, 101),  # duplicate
+                EditOp("add_vertex", 0, None),  # already present
+            ],
+        )
+        assert (applied, skipped) == (3, 2)
+        assert maintainer._kappa.scans == 0
+        assert max_kappa == max(dict(maintainer._kappa).values())
+
     def test_vertices_view_intersects_after_vertex_removal(self):
         ws = Workspace()
         g = Graph(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
