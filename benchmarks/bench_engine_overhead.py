@@ -32,7 +32,7 @@ from repro.core import triangle_kcore_decomposition
 from repro.engine import Engine
 from repro.graph.generators import random_edge_sample, random_non_edges
 
-from common import format_table, write_report
+from common import format_table, host_info, write_report
 
 REPO_ROOT = Path(__file__).parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
@@ -236,6 +236,8 @@ def _engine_overhead_report(dataset_loader):
                     "PYTHONPATH=src python -m pytest "
                     "benchmarks/bench_engine_overhead.py -q"
                 ),
+                "smoke": False,
+                "host": host_info(),
                 "acceptance": {
                     "cold_overhead_max": MAX_COLD_OVERHEAD,
                     "cold_overhead_measured": round(cold_overhead, 4),

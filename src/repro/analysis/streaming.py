@@ -12,8 +12,8 @@ inserts an interaction, expiring everything older than ``t - window``
 first.  Repeated interactions refresh the edge's timestamp instead of
 duplicating it.  Every query (max kappa, densest community, kappa of an
 edge) reads the incrementally-maintained state — no recomputation.
-Writes go through ``diff_apply`` (one call per insertion and one per
-expiry sweep), which keeps the maintainer's cached max kappa current.
+Writes go through ``apply`` (one call per insertion and one per expiry
+sweep), which keeps the maintainer's cached max kappa current.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class SlidingWindowDensity:
         self._last_seen[edge] = timestamp
         heapq.heappush(self._expiry_heap, (timestamp, edge))
         if not self._maintainer.graph.has_edge(u, v):
-            self._maintainer.diff_apply(added=[(u, v)])
+            self._maintainer.apply(added=[(u, v)])
         return expired
 
     def advance_to(self, timestamp: float) -> int:
@@ -103,7 +103,7 @@ class SlidingWindowDensity:
             del self._last_seen[edge]
             expired.append(edge)
         if expired:
-            self._maintainer.diff_apply(removed=expired)
+            self._maintainer.apply(removed=expired)
         return len(expired)
 
     # ------------------------------------------------------------------ #

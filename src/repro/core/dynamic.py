@@ -338,10 +338,11 @@ class DynamicTriangleKCore:
     def max_kappa(self) -> int:
         """Largest kappa in the graph (0 without triangles).
 
-        Cached with the graph version it was taken at.  :meth:`diff_apply`
-        advances the cache from its delta in O(delta) and vertex-only
-        writes carry it over; after any other write (or a write an edge
-        at the old maximum lost) the next read rescans the map once.
+        Cached with the graph version it was taken at.  :meth:`apply` and
+        :meth:`diff_apply` advance the cache from their first-write record
+        in O(changed) and vertex-only writes carry it over; after any
+        other write (or a write an edge at the old maximum lost) the next
+        read rescans the map once.
         """
         cached = self._max_kappa
         version = self._graph.version
@@ -358,21 +359,27 @@ class DynamicTriangleKCore:
         if cached is not None and cached[0] == version:
             self._max_kappa = (self._graph.version, cached[1])
 
-    def _fold_max_kappa(self, version: int, delta: "KappaDelta") -> None:
-        """Advance a cache taken at ``version`` past one write's delta."""
+    def _fold_max_kappa(
+        self, version: int, record: Dict[Edge, Optional[int]]
+    ) -> None:
+        """Advance a cache taken at ``version`` past one write's record
+        (``{edge: kappa before the write}``, see :meth:`_run_batch`)."""
         cached = self._max_kappa
         if cached is None or cached[0] != version:
             return
         old_max = cached[1]
-        rising = max(
-            max(delta.created.values(), default=0),
-            max((new for _old, new in delta.promoted.values()), default=0),
-        )
+        after = self._kappa
+        rising = 0
+        fell = False
+        for edge, old in record.items():
+            new = after.get(edge)
+            if new is None or (old is not None and new < old):
+                fell = fell or old == old_max
+            elif new > rising:
+                rising = new
         if rising >= old_max:
             new_max = rising
-        elif old_max in delta.deleted.values() or any(
-            old == old_max for old, _new in delta.demoted.values()
-        ):
+        elif fell:
             # An edge at the old maximum fell: nothing short of a scan
             # says where the maximum is now.
             self._max_kappa = None
@@ -568,12 +575,12 @@ class DynamicTriangleKCore:
         :class:`EdgeExistsError` or :class:`EdgeNotFoundError` with the
         graph and kappa untouched.
 
-        Returns the statistics of :meth:`diff_apply`, which does the work
-        (see :class:`UpdateStats` for which fields each strategy fills).
-        This is the entry point snapshot streams use (see
-        :func:`repro.graph.io.graph_diff`).
+        Returns the statistics (see :class:`UpdateStats` for which fields
+        each strategy fills); :meth:`diff_apply` runs the same batch and
+        also reports the delta.  This is the entry point snapshot streams
+        use (see :func:`repro.graph.io.graph_diff`).
         """
-        return self.diff_apply(added, removed, strategy=strategy).stats
+        return self._run_batch(added, removed, strategy)[1]
 
     def _apply_by_recompute(
         self,
@@ -651,8 +658,24 @@ class DynamicTriangleKCore:
         edges it actually writes — O(changed) bookkeeping, no copy of
         the kappa map (``stats.full_snapshots`` stays 0).  Only the
         recompute fallback diffs full maps, because Algorithm 1 replaces
-        the map wholesale.  The delta also keeps :attr:`max_kappa`
-        current without a scan.
+        the map wholesale.
+        """
+        record, stats = self._run_batch(added, removed, strategy)
+        return self._delta_from_record(record, stats)
+
+    def _run_batch(
+        self,
+        added: Iterable[Tuple[Vertex, Vertex]],
+        removed: Iterable[Tuple[Vertex, Vertex]],
+        strategy: str,
+    ) -> Tuple[Dict[Edge, Optional[int]], UpdateStats]:
+        """Validate and run one batch: the work behind :meth:`apply` and
+        :meth:`diff_apply`.
+
+        Returns the first-write record, ``{edge: kappa before the batch}``
+        (None for an edge the batch created) for every edge the batch may
+        have changed, and the batch's stats.  The record also keeps
+        :attr:`max_kappa` current without a scan.
         """
         added = list(added)
         removed = list(removed)
@@ -676,7 +699,6 @@ class DynamicTriangleKCore:
                 if edge not in after:
                     record[edge] = before[edge]
             stats.edges_changed = len(record)
-            delta = self._delta_from_record(record, stats)
         else:
             outer = self._recording
             self._recording = {}
@@ -689,9 +711,8 @@ class DynamicTriangleKCore:
                 record = self._recording
             finally:
                 self._recording = outer
-            delta = self._delta_from_record(record, stats)
-        self._fold_max_kappa(version, delta)
-        return delta
+        self._fold_max_kappa(version, record)
+        return record, stats
 
     def _delta_from_record(
         self, record: Dict[Edge, Optional[int]], stats: UpdateStats

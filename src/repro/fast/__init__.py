@@ -21,10 +21,11 @@ layering" has the full composition table):
 * **L4 — dispatch**: this module — decoding kernel output back into the
   public dict-based API and the ``backend`` policy for every entry point.
 
-Between L2 and L3 the data stays in int64 ``ndarray`` objects when numpy
-is present (lists without it); the peel hands lists of Python ``int``
-back to L4, so every public value — kappa, processing order, counters,
-supports — is a plain ``int`` in both modes.
+From L2 through L3 to L4 the data stays in int64 ``ndarray`` objects when
+numpy is present (lists without it).  L4's decode
+(:meth:`~repro.fast.csr.CSRGraph.decode_kappa`) is where values become
+Python objects, so every public value — kappa, processing order,
+counters, supports — is a plain ``int`` in both modes.
 
 Backends
 --------
@@ -63,7 +64,7 @@ Backends
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..exceptions import BackendError
 from ..graph.edge import Edge
@@ -230,8 +231,9 @@ def _decode_decomposition(
 
     Shared tail of every kernel backend: given the ``(supports,
     tri_edges)`` pair — however it was computed — run the Algorithm 1
-    peel and translate edge ids back to canonical
-    label tuples.  ``counters`` mirrors the instrumentation hook of
+    peel and translate edge ids back to canonical label tuples.  The
+    kappa dict iterates in processing order, so the processing order is
+    ``list(kappa)``.  ``counters`` mirrors the instrumentation hook of
     :func:`repro.core.triangle_kcore.triangle_kcore_decomposition`;
     ``peel_stats`` receives the peel telemetry
     (:data:`~repro.fast.peelers.PeelStats`).
@@ -240,16 +242,14 @@ def _decode_decomposition(
     from ..core.triangle_kcore import TriangleKCoreResult
 
     kappa_by_eid, order_by_eid = peel(csr, precomputed, stats=peel_stats)
-    edges = csr.edge_labels()
-    kappa: Dict[Edge, int] = dict(zip(edges, kappa_by_eid))
-    processing_order: List[Edge] = list(map(edges.__getitem__, order_by_eid))
+    kappa = csr.decode_kappa(kappa_by_eid, order_by_eid)
     if counters is not None:
         support_sum = _total(precomputed[0])
         counters["triangles_enumerated"] = support_sum // 3
         counters["support_sum"] = support_sum
         counters["edges_peeled"] = len(kappa)
-        counters["bucket_decrements"] = support_sum - sum(kappa_by_eid)
-    return TriangleKCoreResult(kappa=kappa, processing_order=processing_order)
+        counters["bucket_decrements"] = support_sum - _total(kappa_by_eid)
+    return TriangleKCoreResult(kappa=kappa, processing_order=list(kappa))
 
 
 def csr_decomposition(

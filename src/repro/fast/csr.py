@@ -56,7 +56,24 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching in tests
 #: Int labels map to ids through an array table when their span is under
 #: this many slots per vertex; wider spans use the label -> id dict.
 _TABLE_SPAN_FACTOR = 4
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _as_list(values) -> list:
+    """``values`` as a list of Python ints (``ndarray``/``array`` or list)."""
+    return values.tolist() if hasattr(values, "tolist") else list(values)
+
+
+def _int_label_values(labels: List[Vertex]):
+    """``labels`` as an int64 array when every one is an ``int``, else None.
+
+    None also without numpy, and when a label does not fit in int64.
+    """
+    if np is None or not labels or set(map(type, labels)) != {int}:
+        return None
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:  # pragma: no cover - astronomically big ids
+        return None
 
 
 def _degree_order(graph: Graph) -> List[Vertex]:
@@ -83,6 +100,11 @@ class CSRGraph:
         ``n`` and ``m`` of the snapshot.
     labels:
         ``labels[i]`` is the original vertex label of integer id ``i``.
+    label_values:
+        ``labels`` as an int64 ``ndarray`` when numpy is present and every
+        label is an ``int`` (every generator and dataset loader), else
+        None.  The build maps neighbour labels to ids through it and the
+        decode canonicalizes edges with it, so it is made once.
     index:
         ``{original label: integer id}`` — inverse of ``labels``.
     indptr, indices:
@@ -112,6 +134,7 @@ class CSRGraph:
         "num_vertices",
         "num_edges",
         "labels",
+        "label_values",
         "index",
         "indptr",
         "indices",
@@ -134,6 +157,7 @@ class CSRGraph:
         self.num_vertices = 0
         self.num_edges = 0
         self.labels: List[Vertex] = []
+        self.label_values = None
         self.index: Dict[Vertex, int] = {}
         self.indptr = array("q", [0])
         self.indices = array("q")
@@ -210,6 +234,7 @@ class CSRGraph:
     def _set_labels(self, labels: List[Vertex]) -> None:
         """Adopt ``labels`` as the id -> label table and build its inverse."""
         self.labels = labels
+        self.label_values = _int_label_values(labels)
         self.index = dict(zip(labels, range(len(labels))))
         self.num_vertices = len(labels)
 
@@ -327,22 +352,19 @@ class CSRGraph:
     def _neighbor_ids(self, blocks, count):
         """Ids of every label in ``blocks``, flattened, as an int64 array.
 
-        When every label is an ``int`` and their span is O(n), one array
-        lookup table maps them; anything else (strings, bools, sparse or
-        huge ints) goes through one C-level pass over :attr:`index`.
+        When every label is an ``int`` (:attr:`label_values`) and their
+        span is O(n), one array lookup table maps them; anything else
+        (strings, bools, sparse or huge ints) goes through one C-level pass
+        over :attr:`index`.
         """
-        labels = self.labels
-        n = len(labels)
+        values = self.label_values
+        n = self.num_vertices
         flat = chain.from_iterable(blocks)
-        if n and set(map(type, labels)) == {int}:
-            lo, hi = min(labels), max(labels)
-            if hi - lo < _TABLE_SPAN_FACTOR * n and lo >= _INT64_MIN and (
-                hi <= _INT64_MAX
-            ):
+        if values is not None:
+            lo, hi = int(values.min()), int(values.max())
+            if hi - lo < _TABLE_SPAN_FACTOR * n:
                 table = np.empty(hi - lo + 1, dtype=np.int64)
-                table[np.array(labels, dtype=np.int64) - lo] = np.arange(
-                    n, dtype=np.int64
-                )
+                table[values - lo] = np.arange(n, dtype=np.int64)
                 return table[np.fromiter(flat, dtype=np.int64, count=count) - lo]
         return np.fromiter(
             map(self.index.__getitem__, flat), dtype=np.int64, count=count
@@ -375,28 +397,58 @@ class CSRGraph:
         hi = self.edge_endpoints[2 * eid + 1]
         return canonical_edge(self.labels[lo], self.labels[hi])
 
+    def _vectorized_labels(self) -> bool:
+        """True when the edges decode as array passes (numpy, int labels)."""
+        return np is not None and self.label_values is not None
+
+    def _canonical_ends(self, eids=None):
+        """Canonical label endpoints of ``eids`` (all edges when None).
+
+        Returns ``(first, second)``, two lists of label objects; needs
+        :meth:`_vectorized_labels`.  The ints of :attr:`label_values` order
+        each pair, and the lists hold the :attr:`labels` objects themselves,
+        not equal copies.
+        """
+        values = self.label_values
+        ends = np.frombuffer(self.edge_endpoints, dtype=np.int64).reshape(-1, 2)
+        if eids is not None:
+            ends = ends[eids]
+        u, v = ends[:, 0], ends[:, 1]
+        swap = values[u] > values[v]
+        objects = np.array(self.labels, dtype=object)
+        return (
+            objects[np.where(swap, v, u)].tolist(),
+            objects[np.where(swap, u, v)].tolist(),
+        )
+
+    def decode_kappa(self, kappa_by_eid, order_by_eid) -> Dict[Edge, int]:
+        """``{canonical label edge: kappa}``, iterating in processing order.
+
+        ``kappa_by_eid`` is indexed by edge id and ``order_by_eid`` lists
+        every edge id in processing order, as int64 ``ndarray`` objects or
+        lists of ints (the peel's output).  ``list(result)`` is therefore
+        the processing order.  This is where the peel's integers become
+        Python objects: with int labels the endpoints are permuted into
+        processing order and canonicalized in numpy, and the dict is built
+        in one ``dict(zip(...))``.
+        """
+        if self.num_edges and self._vectorized_labels():
+            order = np.asarray(order_by_eid, dtype=np.int64)
+            first, second = self._canonical_ends(order)
+            kappa = np.asarray(kappa_by_eid, dtype=np.int64)[order].tolist()
+            return dict(zip(zip(first, second), kappa))
+        edges = self.edge_labels()
+        kappa = _as_list(kappa_by_eid)
+        order = _as_list(order_by_eid)
+        return dict(
+            zip(map(edges.__getitem__, order), map(kappa.__getitem__, order))
+        )
+
     def edge_labels(self) -> List[Edge]:
         """Canonical original-label edges indexed by edge id (length m)."""
+        if self.num_edges and self._vectorized_labels():
+            return list(zip(*self._canonical_ends()))
         labels = self.labels
-        if (
-            np is not None
-            and self.num_edges
-            and set(map(type, labels)) == {int}
-        ):
-            # Homogeneous int labels (every generator and dataset loader):
-            # canonicalize all pairs with two vectorized min/max passes and
-            # build the tuples with one C-level zip.
-            try:
-                label_arr = np.array(labels, dtype=np.int64)
-            except OverflowError:  # pragma: no cover - astronomically big ids
-                pass
-            else:
-                endpoints = np.frombuffer(self.edge_endpoints, dtype=np.int64)
-                a = label_arr[endpoints[0::2]]
-                b = label_arr[endpoints[1::2]]
-                lo = np.minimum(a, b).tolist()
-                hi = np.maximum(a, b).tolist()
-                return list(zip(lo, hi))
         pairs = iter(self.edge_endpoints.tolist())
         edges: List[Edge] = []
         append = edges.append

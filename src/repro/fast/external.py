@@ -447,8 +447,7 @@ class ExternalCSR:
         # The maps are fresh copies of arrays we just held — checksums are
         # tautologically valid, but the in-RAM labels may not have survived
         # the manifest (non-JSON labels): carry them over.
-        ext.csr.labels = snap.labels
-        ext.csr.index = snap.index
+        ext.csr._set_labels(snap.labels)
         return ext
 
     @classmethod
@@ -1373,10 +1372,8 @@ def decompose_spill(
         return kappa_by_eid, order_by_eid
     from ..core.triangle_kcore import TriangleKCoreResult
 
-    edges = csr.edge_labels()
-    kappa = dict(zip(edges, kappa_by_eid))
-    processing_order = list(map(edges.__getitem__, order_by_eid))
-    return TriangleKCoreResult(kappa=kappa, processing_order=processing_order)
+    kappa = csr.decode_kappa(kappa_by_eid, order_by_eid)
+    return TriangleKCoreResult(kappa=kappa, processing_order=list(kappa))
 
 
 def external_decomposition(

@@ -15,12 +15,13 @@ implementation comes from:
   delegated to the level-synchronous batched peel of
   :mod:`repro.fast.peelers` (layer L3).
 
-Array handoff contract.  With numpy, :func:`supports_and_triangles`
-returns int64 ``ndarray`` objects and the peel takes them as they are, so
-the ``csr`` path stays in arrays from snapshot to peel; without
-numpy the pure loops produce and consume plain ``list`` objects.  Every
-value that leaves the kernel layer is a Python ``int``: :func:`peel`
-returns lists and :func:`triangle_supports` converts once.
+Array handoff contract.  With numpy, :func:`supports_and_triangles` and
+:func:`peel` return int64 ``ndarray`` objects, so the ``csr`` path stays in
+arrays from snapshot through peel to the decode
+(:meth:`~repro.fast.csr.CSRGraph.decode_kappa`), which is where values
+become Python objects; without numpy the pure loops produce and consume
+plain ``list`` objects.  :func:`triangle_supports` returns a list of
+Python ``int`` in both modes.
 """
 
 from __future__ import annotations
@@ -206,14 +207,15 @@ def peel(
     precomputed: Optional[Tuple[IntSeq, IntSeq]] = None,
     *,
     stats: Optional[dict] = None,
-) -> Tuple[List[int], List[int]]:
+) -> Tuple[IntSeq, IntSeq]:
     """Algorithm 1 over flat arrays: ``(kappa, processing_order)`` by edge id.
 
     ``precomputed`` may carry ``(supports, tri_edges)`` from
     :func:`supports_and_triangles` to skip the enumeration pass.  The peel
     is :func:`repro.fast.peelers.run_peel`: level-synchronous, batched
     decrements, canonical processing order (ascending level, sub-round,
-    edge id).  ``stats`` (when given) receives its
+    edge id).  Both outputs are int64 ``ndarray`` objects with numpy and
+    lists without (module docstring).  ``stats`` (when given) receives its
     :data:`~repro.fast.peelers.PeelStats`.
     """
     supports, tri_edges = (

@@ -34,10 +34,13 @@ Stats.  When a ``stats`` dict is passed, the peel records ``executor``
 (partner slots proven stable and skipped).  These feed the ``peel``
 section of ``repro.engine.stats/8``.
 
-Inputs.  The peel takes ``supports`` and ``tri_edges`` as int64
-``ndarray`` objects (what :func:`~repro.fast.kernels.supports_and_triangles`
-returns with numpy) or as lists of ints, with identical results; neither
-input is mutated.  Outputs are always lists of Python ``int``.
+Array handoff contract.  The peel follows the contract of
+:func:`~repro.fast.kernels.supports_and_triangles`: with numpy it returns
+``kappa`` and ``processing_order`` as int64 ``ndarray`` objects (whichever
+path ran), without numpy as lists of ints.  It takes ``supports`` and
+``tri_edges`` in either form, with identical results, and mutates neither.
+Values become Python objects once, in the decode
+(:meth:`~repro.fast.csr.CSRGraph.decode_kappa`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import csr as _csr_mod
+from .csr import _as_list
 
 __all__ = ["NUMPY_MIN_TRIANGLES", "PeelStats", "run_peel"]
 
@@ -63,12 +67,7 @@ IntSeq = Sequence[int]
 NUMPY_MIN_TRIANGLES = 512
 
 #: ``(kappa, order, levels, batched_decrements, bound_skips)``.
-_PeelOutput = Tuple[List[int], List[int], int, int, int]
-
-
-def _as_list(values: IntSeq) -> List[int]:
-    """``values`` as a list of Python ints (``ndarray``/``array`` or list)."""
-    return values.tolist() if hasattr(values, "tolist") else list(values)
+_PeelOutput = Tuple[IntSeq, IntSeq, int, int, int]
 
 
 def _total(values: IntSeq) -> int:
@@ -178,8 +177,12 @@ def _peel_numpy(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
             # Clamp: kappa never undershoots the level.
             bounds[touched] = np.maximum(lowered, level)
             frontier = touched[lowered <= level]
-    order = np.concatenate(order_chunks).tolist() if order_chunks else []
-    return kappa.tolist(), order, levels, batched, skips
+    order = (
+        np.concatenate(order_chunks)
+        if order_chunks
+        else np.empty(0, dtype=np.int64)
+    )
+    return kappa, order, levels, batched, skips
 
 
 def _peel_pure(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
@@ -272,11 +275,12 @@ def run_peel(
     tri_edges: IntSeq,
     *,
     stats: Optional[PeelStats] = None,
-) -> Tuple[List[int], List[int]]:
+) -> Tuple[IntSeq, IntSeq]:
     """Validated entry point: peel ``(supports, tri_edges)``.
 
-    Returns ``(kappa, processing_order)`` indexed by edge id, the order
-    canonical (module docstring).  Raises ``ValueError`` when the inputs
+    Returns ``(kappa, processing_order)``: kappa indexed by edge id, the
+    order canonical, both int64 ``ndarray`` objects with numpy and lists
+    without (module docstring).  Raises ``ValueError`` when the inputs
     are mutually inconsistent (each triangle contributes exactly 3 to the
     support sum).  ``stats`` (when given) receives the
     :data:`PeelStats`.
@@ -293,6 +297,10 @@ def run_peel(
     else:
         output = _peel_numpy(m, supports, tri_edges)
     kappa, order, levels, batched, skips = output
+    np = _csr_mod.np
+    if np is not None:  # the pure path also runs with numpy, on small inputs
+        kappa = np.asarray(kappa, dtype=np.int64)
+        order = np.asarray(order, dtype=np.int64)
     if stats is not None:
         stats["executor"] = "vector"
         stats["levels"] = levels

@@ -272,18 +272,21 @@ def relaxed_caveman(
     """
     rng = random.Random(seed)
     n = num_communities * community_size
-    graph = Graph(vertices=range(n))
+    # One int object per vertex: every adjacency entry is its vertex's key
+    # (as with a graph read by repro.graph.io.read_edge_list).
+    labels = list(range(n))
+    graph = Graph(vertices=labels)
     for c in range(num_communities):
         base = c * community_size
         for i in range(community_size):
             for j in range(i + 1, community_size):
-                graph.add_edge(base + i, base + j)
+                graph.add_edge(labels[base + i], labels[base + j])
     for u, v in list(graph.edges()):
         if rng.random() < rewire_p:
             w = rng.randrange(n)
             if w != u and not graph.has_edge(u, w):
                 graph.remove_edge(u, v)
-                graph.add_edge(u, w)
+                graph.add_edge(u, labels[w])
     return graph
 
 
@@ -309,7 +312,8 @@ def rmat(
 
     rng = np.random.default_rng(seed)
     n = 1 << scale
-    graph = Graph(vertices=range(n))
+    labels = list(range(n))  # one int object per vertex, as in relaxed_caveman
+    graph = Graph(vertices=labels)
     target_edges = edge_factor * n
     attempts = 0
     # Vectorized quadrant descent: each batch draws `scale` quadrant choices
@@ -327,7 +331,7 @@ def rmat(
         vs = (v_bits * weights).sum(axis=1)
         for u, v in zip(us.tolist(), vs.tolist()):
             if u != v:
-                graph.add_edge(u, v, exist_ok=True)
+                graph.add_edge(labels[u], labels[v], exist_ok=True)
                 if graph.num_edges >= target_edges:
                     break
     return graph

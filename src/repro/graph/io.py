@@ -32,6 +32,30 @@ def _parse_vertex(token: str) -> object:
         return token
 
 
+class _LabelTable(dict):
+    """``{token: label}`` that parses each distinct token once.
+
+    Every token that parses to the same label (``"7"`` and ``"07"``, or a
+    repeated ``"7"``) yields the *same* label object, so a graph read
+    through one table holds one object per vertex: each adjacency entry
+    is its vertex's key, not an equal copy.  The CSR build flattens those
+    entries, and one object per label keeps that pass cache-friendly; a
+    repeated token is also a dict hit instead of an ``int()`` parse.
+    """
+
+    __slots__ = ("_labels",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._labels: dict = {}
+
+    def __missing__(self, token: str) -> object:
+        label = _parse_vertex(token)
+        label = self._labels.setdefault(label, label)
+        self[token] = label
+        return label
+
+
 def _split_fields(line: str) -> List[str]:
     """Fields of one stripped edge-list line.
 
@@ -71,10 +95,12 @@ def read_edge_list(path: PathLike) -> Graph:
     containing a tab splits on tabs, any other line on whitespace; fields
     after the second (e.g. a weight column) are ignored.  Tokens that
     parse as integers become int vertices; everything else stays a
-    string.  Duplicate edges and self-loops in the file are ignored (the
-    library works on simple graphs).
+    string.  Each distinct label is one object: every adjacency entry is
+    its vertex's own key.  Duplicate edges and self-loops in the file are
+    ignored (the library works on simple graphs).
     """
     graph = Graph()
+    labels = _LabelTable()
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -85,7 +111,7 @@ def read_edge_list(path: PathLike) -> Graph:
                 raise DatasetError(
                     f"{path}:{line_number}: expected 'u v', got {stripped!r}"
                 )
-            u, v = _parse_vertex(parts[0]), _parse_vertex(parts[1])
+            u, v = labels[parts[0]], labels[parts[1]]
             if u == v:
                 continue
             graph.add_edge(u, v, exist_ok=True)
@@ -152,7 +178,8 @@ def read_adjacency_csv(path: PathLike) -> Graph:
         raise PersistenceError(
             path, "header must list at least one node id after the corner cell"
         )
-    ids = [_parse_vertex(cell.strip()) for cell in header[1:]]
+    labels = _LabelTable()
+    ids = [labels[cell.strip()] for cell in header[1:]]
     if len(set(ids)) != len(ids):
         seen: set = set()
         for node in ids:
@@ -175,7 +202,7 @@ def read_adjacency_csv(path: PathLike) -> Graph:
                 f"ragged row {row_number} (node {row[0].strip()!r}): "
                 f"expected {n + 1} cells, got {len(row)}",
             )
-        row_id = _parse_vertex(row[0].strip())
+        row_id = labels[row[0].strip()]
         if row_id != ids[row_number - 1]:
             raise PersistenceError(
                 path,
@@ -221,8 +248,10 @@ def write_diff(
 def read_diff(path: PathLike) -> Tuple[List[Edge], List[Edge]]:
     """Read a delta file produced by :func:`write_diff`.
 
-    Returns ``(added, removed)`` lists of canonical edges.
+    Returns ``(added, removed)`` lists of canonical edges; like
+    :func:`read_edge_list`, each distinct label is one object.
     """
+    labels = _LabelTable()
     added: List[Edge] = []
     removed: List[Edge] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -235,7 +264,7 @@ def read_diff(path: PathLike) -> Tuple[List[Edge], List[Edge]]:
                 raise DatasetError(
                     f"{path}:{line_number}: expected '+/- u v', got {stripped!r}"
                 )
-            edge = canonical_edge(_parse_vertex(parts[1]), _parse_vertex(parts[2]))
+            edge = canonical_edge(labels[parts[1]], labels[parts[2]])
             (added if parts[0] == "+" else removed).append(edge)
     return added, removed
 

@@ -10,6 +10,14 @@ import pytest
 from repro.graph import Graph, complete_graph, erdos_renyi
 
 
+def assert_one_object_per_label(graph: Graph) -> None:
+    """Every neighbour entry of ``graph`` *is* its vertex's key object."""
+    keys = {vertex: vertex for vertex in graph.vertices()}
+    for vertex in keys:
+        for neighbor in graph.neighbors(vertex):
+            assert neighbor is keys[neighbor], (vertex, neighbor)
+
+
 def maxrss_bytes(ru_maxrss: int) -> int:
     """Normalize a ``resource.getrusage().ru_maxrss`` value to bytes.
 

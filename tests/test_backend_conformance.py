@@ -26,6 +26,7 @@ no backend can serve another's artifact.
 from __future__ import annotations
 
 import glob
+import hashlib
 import os
 
 import pytest
@@ -34,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import triangle_kcore_decomposition
 from repro.engine import Engine
 from repro.engine.engine import _BUILTIN_BACKENDS, BACKENDS
-from repro.fast import csr_decomposition
+from repro.fast import csr as csr_module, csr_decomposition
 from repro.fast.parallel import parallel_decomposition
 from repro.graph import Graph, complete_graph, erdos_renyi
 from repro.graph.triangles import count_triangles
@@ -201,6 +202,54 @@ class TestExecutorFamilies:
         assert set(result.processing_order) == set(result.kappa)
         kappas = [result.kappa[e] for e in result.processing_order]
         assert kappas == sorted(kappas)  # non-decreasing, like Algorithm 1
+
+
+#: sha256 prefix of ``repr([(edge, kappa), ...])`` in processing order, as
+#: ``csr`` decoded each fixed graph before the decode moved into numpy
+#: (the same with and without numpy).
+DECODED_DIGESTS = {
+    "fig2": "5ae6c2dfb5655464",
+    "fig3": "f62333956c3058b5",
+    "k5": "def72b6d9e2e5d3a",
+    "k7": "00499baba930d4aa",
+    "two_k4": "05cc42c5b8ea6336",
+    "empty": "4f53cda18c2baa0c",
+    "single_edge": "56284d1d300b80ab",
+    "star": "769900d05f3128ca",
+    "path": "bbdfc7f427fb4cd3",
+    "er_small": "67a8afb30cfe3b61",
+    "er_medium": "6910e109555a03f8",
+}
+
+
+class TestDecode:
+    """The csr decode: kappa iterates in processing order, values unchanged."""
+
+    @pytest.mark.parametrize("numpy_mode", ["numpy", "pure"])
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_order_is_kappa_iteration_and_output_unchanged(
+        self, name, numpy_mode, monkeypatch
+    ):
+        if numpy_mode == "pure":
+            monkeypatch.setattr(csr_module, "np", None)
+        elif csr_module.np is None:  # pragma: no cover - numpy-less host
+            pytest.skip("numpy not installed")
+        result = csr_decomposition(fixed_graphs()[name])
+        assert result.processing_order == list(result.kappa)
+        decoded = [(edge, result.kappa[edge]) for edge in result.processing_order]
+        digest = hashlib.sha256(repr(decoded).encode()).hexdigest()[:16]
+        assert digest == DECODED_DIGESTS[name]
+
+    def test_decoded_edges_hold_the_graph_label_objects(self):
+        graph = Graph()
+        labels = [10**6 + i for i in range(6)]  # beyond the small-int cache
+        for i, u in enumerate(labels):
+            for v in labels[i + 1 :]:
+                graph.add_edge(u, v)
+        keys = {vertex: vertex for vertex in graph.vertices()}
+        result = csr_decomposition(graph)
+        for u, v in result.kappa:
+            assert u is keys[u] and v is keys[v]
 
 
 # ------------------------------------------------------------------ #

@@ -696,6 +696,25 @@ class TestMaxKappa:
         maintainer.apply(added=[(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)])
         assert maintainer._max_kappa == (maintainer.graph.version, 4)
 
+    @pytest.mark.parametrize("strategy", ["incremental", "recompute"])
+    def test_apply_builds_no_delta(self, strategy, monkeypatch):
+        """Only diff_apply builds a KappaDelta; apply folds max_kappa from
+        the first-write record."""
+
+        def refuse(*_args):
+            raise AssertionError("apply built a KappaDelta")
+
+        maintainer = DynamicTriangleKCore(complete_graph(5))
+        monkeypatch.setattr(maintainer, "_delta_from_record", refuse)
+        assert maintainer.max_kappa == 3
+        stats = maintainer.apply(
+            added=[(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)], strategy=strategy
+        )
+        assert stats.strategy == strategy
+        assert maintainer._max_kappa == (maintainer.graph.version, 4)
+        maintainer.apply(removed=[(0, 1)], strategy=strategy)
+        assert maintainer.max_kappa == self.scan(maintainer) == 3
+
     def test_delta_advances_the_cache_without_a_scan(self):
         maintainer = DynamicTriangleKCore(complete_graph(5))
         assert maintainer.max_kappa == 3

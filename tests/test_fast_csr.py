@@ -113,7 +113,20 @@ class TestKernels:
             peel(csr, (supports, []))
 
     def test_peel_empty_graph(self, numpy_mode):
-        assert peel(CSRGraph.from_graph(Graph())) == ([], [])
+        kappa, order = peel(CSRGraph.from_graph(Graph()))
+        assert (list(kappa), list(order)) == ([], [])
+
+    def test_peel_hands_arrays_with_numpy_lists_without(self, numpy_mode):
+        # The supports_and_triangles contract: int64 arrays with numpy
+        # (whichever peel path ran, K4 is small enough for the pure one),
+        # lists without.
+        for graph in (complete_graph(4), relaxed_caveman(8, 8, 0.1, seed=2)):
+            for out in peel(CSRGraph.from_graph(graph)):
+                if numpy_mode == "numpy":
+                    assert isinstance(out, csr_module.np.ndarray)
+                    assert out.dtype == csr_module.np.int64
+                else:
+                    assert type(out) is list
 
 
 def _relabel(graph: Graph, label, seed: int = 0) -> Graph:

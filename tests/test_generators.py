@@ -1,6 +1,10 @@
 """Unit tests for synthetic graph generators."""
 
+import hashlib
+
 import pytest
+
+from tests.conftest import assert_one_object_per_label
 
 
 def _numpy_available() -> bool:
@@ -122,7 +126,18 @@ class TestPlantedCliques:
             planted_cliques(30, [5, 5], drop_edges=[1])
 
 
+def _edge_digest(graph) -> str:
+    return hashlib.sha256(repr(sorted(graph.edges())).encode()).hexdigest()[:16]
+
+
 class TestRelaxedCaveman:
+    def test_edges_unchanged_and_labels_shared(self):
+        # The digest pins the edge set this seed has always produced.
+        g = relaxed_caveman(30, 12, 0.2, seed=3)
+        assert (g.num_vertices, g.num_edges) == (360, 1980)
+        assert _edge_digest(g) == "311694f61c29efed"
+        assert_one_object_per_label(g)
+
     def test_size(self):
         g = relaxed_caveman(5, 6, 0.1, seed=2)
         assert g.num_vertices == 30
@@ -145,6 +160,13 @@ class TestRmat:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             rmat(6, 4, a=0.5, b=0.4, c=0.4)
+
+    def test_edges_unchanged_and_labels_shared(self):
+        # The digest pins the edge set this seed has always produced.
+        g = rmat(10, 6, seed=5)
+        assert (g.num_vertices, g.num_edges) == (1024, 6144)
+        assert _edge_digest(g) == "2598ae2409249555"
+        assert_one_object_per_label(g)
 
 
 class TestSampling:

@@ -14,6 +14,8 @@ from repro.graph import (
     write_edge_list,
     write_snapshots,
 )
+from repro.graph.io import read_adjacency_csv
+from tests.conftest import assert_one_object_per_label
 
 
 class TestEdgeListRoundtrip:
@@ -91,6 +93,45 @@ class TestEdgeListRoundtrip:
         g = Graph(edges=[(label, "x")])
         with pytest.raises(DatasetError, match="cannot be written"):
             write_edge_list(g, tmp_path / "g.edges")
+
+
+class TestOneObjectPerLabel:
+    """Readers parse each distinct label once: entries share key objects."""
+
+    def test_edge_list(self, tmp_path):
+        path = tmp_path / "g.edges"
+        # Labels beyond CPython's small-int cache; "01000" parses to 1000.
+        path.write_text(
+            "1000 2000\n2000 3000\n01000 3000\n3000\t4000\nx 1000\nx y\n"
+        )
+        graph = read_edge_list(path)
+        assert graph.num_vertices == 6 and graph.num_edges == 6
+        assert_one_object_per_label(graph)
+
+    def test_snapshots(self, tmp_path):
+        snaps = [erdos_renyi(400, 0.02, seed=s) for s in range(2)]
+        write_snapshots(snaps, tmp_path)
+        for graph in read_snapshots(tmp_path):
+            assert_one_object_per_label(graph)
+
+    def test_adjacency_csv(self, tmp_path):
+        path = tmp_path / "adj.csv"
+        path.write_text(
+            ",1000,2000,3000\n1000,0,1,1\n2000,1,0,1\n3000,1,1,0\n"
+        )
+        graph = read_adjacency_csv(path)
+        assert graph.num_edges == 3
+        assert_one_object_per_label(graph)
+
+    def test_diff(self, tmp_path):
+        path = tmp_path / "delta.txt"
+        path.write_text("+ 1000 2000\n+ 2000 3000\n- 01000 3000\n")
+        added, removed = read_diff(path)
+        assert added == [(1000, 2000), (2000, 3000)]
+        assert removed == [(1000, 3000)]
+        assert added[0][1] is added[1][0]
+        assert added[0][0] is removed[0][0]
+        assert added[1][1] is removed[0][1]
 
 
 class TestDiffs:

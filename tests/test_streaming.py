@@ -51,8 +51,8 @@ class TestWindowMechanics:
 
 class TestMaxKappaCache:
     def test_writes_keep_max_kappa_current_without_a_scan(self):
-        """Insertions and expiry sweeps go through diff_apply, which
-        advances the maintainer's cached maximum from its delta."""
+        """Insertions and expiry sweeps go through apply, which advances
+        the maintainer's cached maximum from its first-write record."""
         monitor = SlidingWindowDensity(window=10)
         monitor.observe(10, 11, 0)
         for t, (u, v) in enumerate([(0, 1), (1, 2), (0, 2)], start=5):
