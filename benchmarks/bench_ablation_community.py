@@ -1,14 +1,10 @@
-"""Ablation — community search (merge forest vs BFS); store-backed updates.
+"""Ablation — community search (merge forest vs BFS).
 
-Two practical engineering questions downstream users ask:
-
-* when is building the :class:`~repro.core.community.CommunityIndex`
-  merge forest worth it over per-query BFS (the path the query service
-  takes over its live maintainer)?  It depends on answer size: on ppi,
-  whose communities hold thousands of vertices, a few queries; on dblp's
-  small communities, more than a thousand;
-* what does the stored-triangle mode buy the dynamic maintainer?
-  (paper §IV-A / appendix trade-off, measured).
+When is building the :class:`~repro.core.community.CommunityIndex` merge
+forest worth it over per-query BFS (the path the query service takes over
+its live maintainer)?  It depends on answer size: on ppi, whose
+communities hold thousands of vertices, a few queries; on dblp's small
+communities, more than a thousand.
 
 The community report also times :class:`~repro.core.hierarchy.CommunityHierarchy`
 construction (forest plus tree) on dblp and ppi.
@@ -22,12 +18,10 @@ import time
 from repro.core import (
     CommunityHierarchy,
     CommunityIndex,
-    DynamicTriangleKCore,
     community_of_vertex,
     densest_community_of_vertex,
     triangle_kcore_decomposition,
 )
-from repro.graph import random_edge_sample, random_non_edges
 
 from common import format_table, timed, write_report
 
@@ -144,49 +138,3 @@ def _ablation_community_report(dataset_loader):
         f"build times are best of {REPEATS}; hierarchy = merge forest + tree"
     )
     write_report("ablation_community", lines)
-
-
-def test_ablation_store_mode_report(dataset_loader, benchmark):
-    benchmark.pedantic(
-        lambda: _ablation_store_mode_report(dataset_loader), rounds=1, iterations=1
-    )
-
-
-def _ablation_store_mode_report(dataset_loader):
-    rows = []
-    for name in ("ppi", "flickr"):
-        graph = dataset_loader(name).graph
-        removed = random_edge_sample(graph, 0.005, seed=21)
-        added = random_non_edges(
-            graph, len(removed), seed=22, triangle_closing=True
-        )
-        timings = {}
-        kappas = {}
-        for store in (False, True):
-            maintainer = DynamicTriangleKCore(graph, store_triangles=store)
-            start = time.perf_counter()
-            maintainer.apply(added=added, removed=removed)
-            timings[store] = time.perf_counter() - start
-            kappas[store] = dict(maintainer.kappa)
-        assert kappas[False] == kappas[True], name
-        rows.append(
-            (
-                name,
-                len(added) + len(removed),
-                f"{timings[False]:.4f}",
-                f"{timings[True]:.4f}",
-            )
-        )
-    lines = format_table(
-        ("dataset", "edges changed", "recompute-apexes(s)", "stored-apexes(s)"),
-        rows,
-    )
-    lines.append("")
-    lines.append(
-        "the stored-triangle index (paper SIV-A trade-off) removes the"
-    )
-    lines.append(
-        "common-neighbor intersections from the update cascades at O(|Tri|)"
-    )
-    lines.append("memory.")
-    write_report("ablation_store_mode", lines)

@@ -26,7 +26,7 @@ from pathlib import Path
 from repro.core import triangle_kcore_decomposition
 from repro.graph import count_triangles, powerlaw_cluster
 
-from common import format_table, timed, write_report
+from common import format_table, host_info, timed, write_report
 
 SIZES = (1000, 2000, 4000, 8000, 16000)
 
@@ -166,8 +166,13 @@ def _maxrss_bytes():
     return int(value) if sys.platform == "darwin" else int(value) * 1024
 
 
-def run_external_bench(*, scale, edge_factor, budget, spill_dir=None):
-    """Stream -> spill -> decompose under ``budget``; return the record."""
+def run_external_bench(*, scale, edge_factor, budget, spill_dir=None,
+                       smoke=False):
+    """Stream -> spill -> decompose under ``budget``; return the record.
+
+    The record names the host it ran on and whether it was a ``--smoke``
+    run, like every other ``BENCH_*.json``.
+    """
     import json
     import shutil
     import tempfile
@@ -189,6 +194,8 @@ def run_external_bench(*, scale, edge_factor, budget, spill_dir=None):
         "budget_bytes": budget,
         "enforced": False,
         "skip_reason": None,
+        "smoke": smoke,
+        "host": host_info(),
     }
     baseline = _maxrss_bytes()
     owns_dir = spill_dir is None
@@ -267,7 +274,7 @@ def main(argv=None):
         scale, edge_factor = 11, 6
     record = run_external_bench(
         scale=scale, edge_factor=edge_factor,
-        budget=args.budget, spill_dir=args.spill_dir,
+        budget=args.budget, spill_dir=args.spill_dir, smoke=args.smoke,
     )
     if record["skip_reason"] is not None:
         print(f"cap unenforced: {record['skip_reason']}")

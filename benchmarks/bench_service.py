@@ -2,7 +2,8 @@
 
 Boots a real in-process server (:class:`repro.service.BackgroundServer`)
 on the dblp fixture and drives it over loopback HTTP with 1, 8 and 64
-concurrent closed-loop clients at a 90/10 read/write mix — reads are
+concurrent closed-loop clients at a 90/10 read/write mix, each
+client-count phase run three times against the same server — reads are
 ``GET /kappa`` on real dblp edges, writes are small ``POST /edits``
 batches toggling synthetic edges (each client owns a private vertex pool
 so batches never conflict).  A last single-client phase measures
@@ -15,9 +16,11 @@ exchange feeds exact percentiles.  Two artifacts are written:
 * ``BENCH_service.json`` at the repo root — the machine-readable record
   CI uploads, with the host it ran on and whether it was a smoke run.
 
-Acceptance gate: sustained read throughput must reach >= 500 requests/
-second at some concurrency level, with the p99 read latency recorded
-alongside it.
+Acceptance gate: the median sustained read throughput over a phase's
+runs must reach >= 500 requests/second at some concurrency level.  The
+record keeps the median and the min/max of read throughput and of p99
+read latency per client count, so one noisy run neither passes nor fails
+the gate on its own.
 
 Run stand-alone (no pytest) with ``python benchmarks/bench_service.py
 [--smoke]``; ``--smoke`` shortens each phase for CI smoke runs.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
 import threading
 import time
@@ -45,6 +49,9 @@ CLIENT_COUNTS = (1, 8, 64)
 WRITE_FRACTION = 0.10
 PHASE_SECONDS = 5.0
 SMOKE_SECONDS = 1.5
+#: Runs per client count.  Single 5 s runs of one build have read 1.5k
+#: and 2.5k read req/s back to back on a shared 2-vCPU host.
+PHASE_REPEATS = 3
 MIN_READ_RPS = 500.0
 #: Edits per write batch (small live batches, the common ingestion shape).
 WRITE_BATCH_OPS = 2
@@ -152,6 +159,19 @@ def _run_phase(port, clients, seconds, read_edges, write_fraction):
     }
 
 
+def _summarize(clients, runs):
+    """Median and min/max of read throughput and read p99 over ``runs``."""
+    summary = {"clients": clients}
+    for key in ("read_rps", "read_p99_ms"):
+        values = [run[key] for run in runs]
+        summary[key] = statistics.median(values)
+        summary[f"{key}_min"] = min(values)
+        summary[f"{key}_max"] = max(values)
+    summary["errors"] = sum(run["errors"] for run in runs)
+    summary["runs"] = runs
+    return summary
+
+
 def _community_phase(port, seconds, read_edges):
     """Closed loop of (toggle one dblp edge, read an endpoint's community)."""
     from repro.service import ServiceClient
@@ -192,7 +212,7 @@ def _service_report(phase_seconds=PHASE_SECONDS, *, smoke=False):
         idle_timeout=300.0,
     ) as server:
         for clients in CLIENT_COUNTS:
-            phases.append(
+            runs = [
                 _run_phase(
                     server.port,
                     clients,
@@ -200,33 +220,55 @@ def _service_report(phase_seconds=PHASE_SECONDS, *, smoke=False):
                     read_edges,
                     WRITE_FRACTION,
                 )
-            )
+                for _ in range(PHASE_REPEATS)
+            ]
+            phases.append(_summarize(clients, runs))
         community = _community_phase(server.port, phase_seconds, read_edges)
         with ServiceClient("127.0.0.1", server.port) as client:
             stats = client.stats()["service"]
 
     rows = [
         (
-            p["clients"],
-            f"{p['seconds']:.1f}",
-            p["reads"],
-            p["writes"],
-            p["errors"],
-            f"{p['rps']:.0f}",
-            f"{p['read_rps']:.0f}",
-            f"{p['read_p50_ms']:.2f}",
-            f"{p['read_p95_ms']:.2f}",
-            f"{p['read_p99_ms']:.2f}",
-            f"{p['write_p99_ms']:.2f}",
+            f"{p['clients']}.{index}",
+            f"{run['seconds']:.1f}",
+            run["reads"],
+            run["writes"],
+            run["errors"],
+            f"{run['rps']:.0f}",
+            f"{run['read_rps']:.0f}",
+            f"{run['read_p50_ms']:.2f}",
+            f"{run['read_p95_ms']:.2f}",
+            f"{run['read_p99_ms']:.2f}",
+            f"{run['write_p99_ms']:.2f}",
         )
         for p in phases
+        for index, run in enumerate(p["runs"], start=1)
     ]
     lines = format_table(
         (
-            "clients", "secs", "reads", "writes", "errors", "rps",
+            "run", "secs", "reads", "writes", "errors", "rps",
             "read rps", "p50ms", "p95ms", "p99ms", "w-p99ms",
         ),
         rows,
+    )
+    lines.append("")
+    lines.extend(
+        format_table(
+            (
+                "clients", "read rps median", "read rps min-max",
+                "p99ms median", "p99ms min-max",
+            ),
+            [
+                (
+                    p["clients"],
+                    f"{p['read_rps']:.0f}",
+                    f"{p['read_rps_min']:.0f}-{p['read_rps_max']:.0f}",
+                    f"{p['read_p99_ms']:.2f}",
+                    f"{p['read_p99_ms_min']:.2f}-{p['read_p99_ms_max']:.2f}",
+                )
+                for p in phases
+            ],
+        )
     )
     best = max(phases, key=lambda p: p["read_rps"])
     lines.append("")
@@ -236,9 +278,10 @@ def _service_report(phase_seconds=PHASE_SECONDS, *, smoke=False):
         f"({WRITE_BATCH_OPS} ops/batch); closed loop over loopback HTTP"
     )
     lines.append(
-        f"gate: sustained read throughput >= {MIN_READ_RPS:.0f} req/s; "
-        f"best {best['read_rps']:.0f} req/s at {best['clients']} client(s) "
-        f"(read p99 {best['read_p99_ms']:.2f} ms)"
+        f"gate: median sustained read throughput >= {MIN_READ_RPS:.0f} "
+        f"req/s; best median {best['read_rps']:.0f} req/s at "
+        f"{best['clients']} client(s) over {PHASE_REPEATS} runs "
+        f"(read p99 median {best['read_p99_ms']:.2f} ms)"
     )
     lines.append(
         f"community after write: {community['reads']} reads, "
@@ -267,6 +310,7 @@ def _service_report(phase_seconds=PHASE_SECONDS, *, smoke=False):
                 },
                 "acceptance": {
                     "min_read_rps": MIN_READ_RPS,
+                    "statistic": f"median of {PHASE_REPEATS} runs",
                     "measured_read_rps": best["read_rps"],
                     "at_clients": best["clients"],
                     "read_p99_ms": best["read_p99_ms"],
@@ -282,7 +326,8 @@ def _service_report(phase_seconds=PHASE_SECONDS, *, smoke=False):
     )
 
     assert best["read_rps"] >= MIN_READ_RPS, (
-        f"read throughput only {best['read_rps']:.0f} req/s (best phase); "
+        f"median read throughput only {best['read_rps']:.0f} req/s "
+        "(best client count); "
         f"the service must sustain >= {MIN_READ_RPS:.0f} req/s on {DATASET}"
     )
     total_errors = sum(p["errors"] for p in phases)

@@ -50,16 +50,13 @@ class SlidingWindowDensity:
         self,
         *,
         window: float,
-        store_triangles: bool = False,
         engine: Optional[object] = None,
     ) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = window
         # copy=False: the maintainer owns the (initially empty) graph.
-        self._maintainer = resolve_engine(engine).maintainer(
-            Graph(), copy=False, store_triangles=store_triangles
-        )
+        self._maintainer = resolve_engine(engine).maintainer(Graph(), copy=False)
         self._last_seen: Dict[Edge, float] = {}
         #: (timestamp, edge) min-heap; stale entries are skipped on expiry.
         self._expiry_heap: List[Tuple[float, Edge]] = []

@@ -217,7 +217,6 @@ class DynamicTriangleKCore:
         graph: Graph,
         *,
         copy: bool = True,
-        store_triangles: bool = False,
         seed_result: Optional[TriangleKCoreResult] = None,
     ) -> None:
         self._graph = graph.copy() if copy else graph
@@ -233,12 +232,6 @@ class DynamicTriangleKCore:
             self._kappa: Dict[Edge, int] = dict(seed_result.kappa)
         else:
             self._kappa = triangle_kcore_decomposition(self._graph).kappa
-        if store_triangles:
-            from ..graph.triangle_store import TriangleStore
-
-            self._store: Optional["TriangleStore"] = TriangleStore(self._graph)
-        else:
-            self._store = None
         self._expected_edges = self._graph.num_edges
         # One dict per vertex is a burst of container allocations: every
         # 700 of them (the default gen-0 threshold) run a cyclic-GC pass,
@@ -305,12 +298,6 @@ class DynamicTriangleKCore:
                 f"({self._graph.num_edges} edges vs {self._expected_edges} "
                 "expected); rebuild the DynamicTriangleKCore"
             )
-
-    def _apexes(self, u: Vertex, v: Vertex):
-        """Triangle apexes of an existing edge (store or intersection)."""
-        if self._store is not None:
-            return self._store.apexes(u, v)
-        return self._graph.common_neighbors(u, v)
 
     # ------------------------------------------------------------------ #
     # read API
@@ -411,15 +398,12 @@ class DynamicTriangleKCore:
         if self._graph.has_edge(u, v):
             raise EdgeExistsError(u, v)
         stats = UpdateStats()
-        if self._store is not None:
-            apexes = sorted(self._store.add_edge(u, v), key=repr)
-        else:
-            apexes = (
-                sorted(self._graph.common_neighbors(u, v), key=repr)
-                if self._graph.has_vertex(u) and self._graph.has_vertex(v)
-                else []
-            )
-            self._graph.add_edge(u, v)
+        apexes = (
+            sorted(self._graph.common_neighbors(u, v), key=repr)
+            if self._graph.has_vertex(u) and self._graph.has_vertex(v)
+            else []
+        )
+        self._graph.add_edge(u, v)
         e0 = self._link(u, v)
         self._note(e0)
         stats.edges_changed += 1
@@ -464,11 +448,8 @@ class DynamicTriangleKCore:
             raise EdgeNotFoundError(u, v)
         stats = UpdateStats()
         kappa = self._kappa
-        if self._store is not None:
-            apexes = sorted(self._store.remove_edge(u, v), key=repr)
-        else:
-            apexes = sorted(self._graph.common_neighbors(u, v), key=repr)
-            self._graph.remove_edge(u, v)
+        apexes = sorted(self._graph.common_neighbors(u, v), key=repr)
+        self._graph.remove_edge(u, v)
         e0 = self._unlink(u, v)
         k_e0 = kappa[e0]
         self._note(e0)
@@ -596,18 +577,12 @@ class DynamicTriangleKCore:
         stats.strategy = "recompute"
         stats.full_snapshots = 1
         kappa = dict(self._kappa)
-        store = self._store
+        graph = self._graph
         for u, v in removed:
-            if store is not None:
-                store.remove_edge(u, v)
-            else:
-                self._graph.remove_edge(u, v)
+            graph.remove_edge(u, v)
             del kappa[self._unlink(u, v)]
         for u, v in added:
-            if store is not None:
-                store.add_edge(u, v)
-            else:
-                self._graph.add_edge(u, v)
+            graph.add_edge(u, v)
             kappa[self._link(u, v)] = 0
         self._expected_edges = self._graph.num_edges
         # update() overwrites values but keeps this dict's key objects,
@@ -773,7 +748,7 @@ class DynamicTriangleKCore:
         """
         kappa = self._kappa
         keys = self._edge_keys
-        apexes_of = self._apexes
+        apexes_of = self._graph.common_neighbors
         need = k + 1
         e0_is_candidate = kappa[e0] == k
 
@@ -900,7 +875,7 @@ class DynamicTriangleKCore:
         """
         kappa = self._kappa
         keys = self._edge_keys
-        apexes_of = self._apexes
+        apexes_of = self._graph.common_neighbors
         pending: List[Edge] = list(seeds)
         while pending:
             edge = pending.pop()

@@ -540,7 +540,6 @@ class Engine:
         graph: Graph,
         *,
         copy: bool = True,
-        store_triangles: bool = False,
         seed_backend: Optional[str] = None,
     ) -> DynamicTriangleKCore:
         """Build an instrumented-by-construction dynamic maintainer.
@@ -566,10 +565,7 @@ class Engine:
             seed_result = self.decompose(graph, backend=name)
         with self.stats.stage("maintainer.warm"):
             maintainer = DynamicTriangleKCore(
-                graph,
-                copy=copy,
-                store_triangles=store_triangles,
-                seed_result=seed_result,
+                graph, copy=copy, seed_result=seed_result
             )
         self.stats.bump("maintainers_built")
         return maintainer

@@ -65,7 +65,6 @@ from .triangles import (
     triangle_supports,
     triangles_of_edge,
 )
-from .triangle_store import TriangleStore
 from .undirected import Graph, complete_graph
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "SnapshotDelta",
     "SnapshotStream",
     "Triangle",
-    "TriangleStore",
     "Vertex",
     "apex",
     "apply_delta",

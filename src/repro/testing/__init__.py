@@ -51,7 +51,6 @@ from .oracles import (
     default_sut,
     networkx_available,
     perturbed_sut_factory,
-    stored_sut,
 )
 from .runner import Divergence, RunReport, run_script
 from .shrink import ShrinkResult, shrink_script
@@ -89,5 +88,4 @@ __all__ = [
     "replay",
     "run_script",
     "shrink_script",
-    "stored_sut",
 ]

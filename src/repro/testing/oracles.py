@@ -176,11 +176,6 @@ def default_sut(graph: Graph) -> DynamicTriangleKCore:
     return DynamicTriangleKCore(graph, copy=False)
 
 
-def stored_sut(graph: Graph) -> DynamicTriangleKCore:
-    """The maintainer with the triangle-store index enabled."""
-    return DynamicTriangleKCore(graph, copy=False, store_triangles=True)
-
-
 class OffByOneMaintainer(DynamicTriangleKCore):
     """A deliberately buggy maintainer: kappa off by one on one level.
 

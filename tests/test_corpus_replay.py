@@ -6,11 +6,10 @@ injected) bug during development or pins a subtle algorithmic branch.  The
 contract: every future maintenance bug becomes one more JSON file here, and
 this module keeps it failing-proof forever.
 
-Each bundle is checked four ways: byte-identical JSON round trip, clean
-replay against all oracles with the default maintainer, clean replay with
-the triangle-store maintainer, and a final-kappa match against the
-``expected_kappa`` recorded when the bundle was minted (byte-for-byte
-replay, not merely crash-free).
+Each bundle is checked three ways: byte-identical JSON round trip, clean
+replay against all oracles with the default maintainer, and a final-kappa
+match against the ``expected_kappa`` recorded when the bundle was minted
+(byte-for-byte replay, not merely crash-free).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.testing import ReproBundle, replay, stored_sut
+from repro.testing import ReproBundle, replay
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 BUNDLE_PATHS = sorted(CORPUS_DIR.glob("*.json"))
@@ -56,14 +55,6 @@ class TestCorpusBundle:
             f"{report.divergence.diff[:5]}"
         )
         assert report.steps == len(bundle.script)
-
-    def test_replays_clean_stored_maintainer(self, path):
-        bundle = ReproBundle.load(path)
-        report = replay(bundle, sut_factory=stored_sut)
-        assert report.ok, (
-            f"regression bundle {path.name} diverged in triangle-store "
-            f"mode: {report.divergence.kind}: {report.divergence.message}"
-        )
 
     def test_tight_checkpoints_also_clean(self, path):
         # A cadence of 1 turns every op into a full oracle comparison; the

@@ -4,7 +4,7 @@ Three layers:
 
 * a **tier-1 seed matrix** — every workload profile at two seeds, driven
   through the full oracle runner (Rule 0 invariants per op, oracle matrix
-  at checkpoints), in both maintainer modes;
+  at checkpoints);
 * a **mutation smoke-check** — an injected off-by-one kappa bug must be
   detected, shrunk to <= 10 ops, and survive a JSON round trip, proving a
   green fuzz run is meaningful;
@@ -39,7 +39,6 @@ from repro.testing import (
     replay,
     run_script,
     shrink_script,
-    stored_sut,
 )
 
 ALL_PROFILES = sorted(PROFILES)
@@ -217,15 +216,6 @@ class TestTier1Matrix:
         assert "recompute" in report.oracles
         assert "csr" in report.oracles
 
-    @pytest.mark.parametrize("profile", ["churn", "grow_shrink"])
-    def test_no_divergence_with_triangle_store(self, profile):
-        report = run_script(
-            generate(profile, 0, 120),
-            checkpoint_every=40,
-            sut_factory=stored_sut,
-        )
-        assert report.ok, report.divergence
-
     def test_fuzz_aggregates_all_profiles(self):
         result = fuzz(seed=0, ops=60, checkpoint_every=30)
         assert result.ok
@@ -383,14 +373,4 @@ def test_heavy_matrix(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_heavy_matrix_batch_mode(seed):
     result = fuzz(seed=seed, ops=1000, apply_mode="batch", batch_ops=50)
-    assert result.ok, result.first_failure.report.divergence
-
-
-@heavy
-@pytest.mark.fuzz_heavy
-@pytest.mark.parametrize("seed", range(3))
-def test_heavy_matrix_stored_mode(seed):
-    result = fuzz(
-        seed=seed, ops=600, checkpoint_every=100, sut_factory=stored_sut
-    )
     assert result.ok, result.first_failure.report.divergence

@@ -19,7 +19,6 @@ import repro.core.local
 import repro.core.maxcore
 import repro.core.triangle_kcore
 import repro.graph.edge
-import repro.graph.triangle_store
 import repro.graph.triangles
 import repro.graph.undirected
 import repro.viz.report
@@ -36,7 +35,6 @@ MODULES = [
     repro.core.maxcore,
     repro.core.triangle_kcore,
     repro.graph.edge,
-    repro.graph.triangle_store,
     repro.graph.triangles,
     repro.graph.undirected,
     repro.viz.report,

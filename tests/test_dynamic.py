@@ -149,12 +149,11 @@ class TestBatchApply:
 
 
 class TestRandomizedEquivalence:
-    @pytest.mark.parametrize("store_triangles", [False, True])
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_edit_scripts_sparse(self, seed, store_triangles):
+    def test_random_edit_scripts_sparse(self, seed):
         rng = random.Random(seed)
         g = erdos_renyi(24, 0.2, seed=seed)
-        maintainer = DynamicTriangleKCore(g, store_triangles=store_triangles)
+        maintainer = DynamicTriangleKCore(g)
         vertices = sorted(g.vertices())
         for _ in range(50):
             u, v = rng.sample(vertices, 2)
@@ -162,28 +161,6 @@ class TestRandomizedEquivalence:
                 maintainer.remove_edge(u, v)
             else:
                 maintainer.add_edge(u, v)
-        assert_matches_static(maintainer)
-
-    def test_store_mode_index_stays_consistent(self):
-        rng = random.Random(99)
-        g = erdos_renyi(20, 0.3, seed=9)
-        maintainer = DynamicTriangleKCore(g, store_triangles=True)
-        vertices = sorted(g.vertices())
-        for _ in range(40):
-            u, v = rng.sample(vertices, 2)
-            if maintainer.graph.has_edge(u, v):
-                maintainer.remove_edge(u, v)
-            else:
-                maintainer.add_edge(u, v)
-        assert maintainer._store.is_consistent()
-        assert_matches_static(maintainer)
-
-    def test_store_mode_vertex_removal(self):
-        g = complete_graph(5)
-        maintainer = DynamicTriangleKCore(g, store_triangles=True)
-        maintainer.remove_vertex(0)
-        assert set(maintainer.kappa.values()) == {2}
-        assert maintainer._store.is_consistent()
         assert_matches_static(maintainer)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -251,13 +228,10 @@ class TestEdgeKeyMap:
     but not the same objects, which costs every lookup a tuple compare.
     """
 
-    @pytest.mark.parametrize("store_triangles", [False, True])
     @pytest.mark.parametrize("copy", [True, False])
-    def test_every_write_path(self, store_triangles, copy):
+    def test_every_write_path(self, copy):
         g = erdos_renyi(24, 0.35, seed=61)
-        maintainer = DynamicTriangleKCore(
-            g, copy=copy, store_triangles=store_triangles
-        )
+        maintainer = DynamicTriangleKCore(g, copy=copy)
         assert_edge_keys_in_sync(maintainer)
         edges = sorted(maintainer.graph.edges())
         absent = [
@@ -367,14 +341,6 @@ class TestApplyStrategies:
         assert a.kappa == b.kappa
         assert a.graph == b.graph
 
-    def test_recompute_strategy_with_store(self):
-        g = erdos_renyi(20, 0.3, seed=32)
-        maintainer = DynamicTriangleKCore(g, store_triangles=True)
-        removed = list(g.edges())[:4]
-        maintainer.apply(removed=removed, strategy="recompute")
-        assert maintainer._store.is_consistent()
-        assert_matches_static(maintainer)
-
     def test_auto_picks_recompute_for_heavy_churn(self):
         g = erdos_renyi(25, 0.3, seed=33)
         removed = list(g.edges())[: g.num_edges // 2]  # ~50% churn
@@ -459,16 +425,6 @@ class TestBatchStrategy:
         assert a.kappa == b.kappa
         assert a.graph == b.graph
         assert_matches_static(b)
-
-    def test_batch_with_store(self):
-        g = erdos_renyi(20, 0.3, seed=52)
-        maintainer = DynamicTriangleKCore(g, store_triangles=True)
-        removed = list(g.edges())[:5]
-        added = [(u, v) for u, v in [(0, 19), (1, 18)]
-                 if not g.has_edge(u, v) or (u, v) in removed]
-        maintainer.apply(added=added, removed=removed, strategy="batch")
-        assert maintainer._store.is_consistent()
-        assert_matches_static(maintainer)
 
     def test_batch_remove_and_readd_same_edge(self):
         """A removed edge re-inserted in the same batch lands correctly."""
@@ -730,24 +686,19 @@ class TestMaxKappa:
 
 
 class TestSoak:
-    def test_long_random_soak_all_modes(self):
-        """300 mixed operations across both store modes, verified at the
-        end and spot-checked along the way."""
+    def test_long_random_soak(self):
+        """300 mixed operations, checked against a fresh decomposition
+        every 60 ops and at the end."""
         rng = random.Random(2024)
         g = erdos_renyi(30, 0.25, seed=77)
-        plain = DynamicTriangleKCore(g)
-        stored = DynamicTriangleKCore(g, store_triangles=True)
+        maintainer = DynamicTriangleKCore(g)
         vertices = sorted(g.vertices())
         for step in range(300):
             u, v = rng.sample(vertices, 2)
-            if plain.graph.has_edge(u, v):
-                plain.remove_edge(u, v)
-                stored.remove_edge(u, v)
+            if maintainer.graph.has_edge(u, v):
+                maintainer.remove_edge(u, v)
             else:
-                plain.add_edge(u, v)
-                stored.add_edge(u, v)
+                maintainer.add_edge(u, v)
             if step % 60 == 0:
-                assert plain.kappa == stored.kappa
-        assert plain.kappa == stored.kappa
-        assert plain.kappa == triangle_kcore_decomposition(plain.graph).kappa
-        assert stored._store.is_consistent()
+                assert_matches_static(maintainer)
+        assert_matches_static(maintainer)

@@ -258,21 +258,6 @@ def test_persistence_roundtrip(graph):
 
 
 @settings(max_examples=25, deadline=None)
-@given(edit_scripts(max_vertices=8, max_steps=10))
-def test_triangle_store_stays_consistent(script):
-    from repro.graph import TriangleStore
-
-    graph, steps = script
-    store = TriangleStore(graph.copy())
-    for u, v in steps:
-        if store.graph.has_edge(u, v):
-            store.remove_edge(u, v)
-        else:
-            store.add_edge(u, v)
-    assert store.is_consistent()
-
-
-@settings(max_examples=25, deadline=None)
 @given(graphs(max_vertices=9))
 def test_subgraph_kappa_never_exceeds_global(graph):
     """Monotonicity under subgraphs: removing structure cannot raise kappa."""

@@ -1,12 +1,10 @@
 """Stateful property testing of the dynamic maintainer.
 
 A hypothesis rule-based state machine drives a
-:class:`~repro.core.dynamic.DynamicTriangleKCore` (in both triangle-store
-modes) through arbitrary interleavings of edge insertions, deletions,
+:class:`~repro.core.dynamic.DynamicTriangleKCore` through arbitrary interleavings of edge insertions, deletions,
 vertex removals and batch applications, checking after every step that:
 
 * the kappa map equals a fresh Algorithm 1 run (the core guarantee);
-* the stored triangle index, when enabled, stays consistent;
 * the private edge-key map mirrors the adjacency and reuses kappa's keys;
 * queries (max_kappa, result snapshots) agree with the ground truth.
 
@@ -116,20 +114,6 @@ class DynamicMaintainerMachine(RuleBasedStateMachine):
         }
         for edge in self.maintainer.kappa:
             assert keys[edge[0]][edge[1]] is edge
-
-
-class StoredModeMachine(DynamicMaintainerMachine):
-    """Same walk with the triangle store enabled."""
-
-    def __init__(self):
-        RuleBasedStateMachine.__init__(self)
-        self.maintainer = DynamicTriangleKCore(
-            Graph(vertices=VERTICES), copy=False, store_triangles=True
-        )
-
-    @invariant()
-    def store_is_consistent(self):
-        assert self.maintainer._store.is_consistent()
 
 
 class DiffApplyBaselineMachine(RuleBasedStateMachine):
@@ -283,11 +267,6 @@ class EngineCacheMachine(RuleBasedStateMachine):
 TestDynamicMaintainerMachine = DynamicMaintainerMachine.TestCase
 TestDynamicMaintainerMachine.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
-)
-
-TestStoredModeMachine = StoredModeMachine.TestCase
-TestStoredModeMachine.settings = settings(
-    max_examples=15, stateful_step_count=25, deadline=None
 )
 
 TestDiffApplyBaselineMachine = DiffApplyBaselineMachine.TestCase

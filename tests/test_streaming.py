@@ -158,12 +158,9 @@ class TestEdgeCases:
 
 
 class TestEquivalenceWithStatic:
-    @pytest.mark.parametrize("store_triangles", [False, True])
-    def test_window_state_matches_fresh_decomposition(self, store_triangles):
+    def test_window_state_matches_fresh_decomposition(self):
         rng = random.Random(3)
-        monitor = SlidingWindowDensity(
-            window=25, store_triangles=store_triangles
-        )
+        monitor = SlidingWindowDensity(window=25)
         events = []
         for t in range(120):
             u, v = rng.sample(range(10), 2)
