@@ -359,7 +359,7 @@ def main(argv=None):
         smoke=args.smoke,
     )
     print(
-        f"\nBENCH_service.json written; best read throughput "
+        f"\nBENCH_service.json written; best median read throughput "
         f"{best['read_rps']:.0f} req/s (p99 {best['read_p99_ms']:.2f} ms)"
     )
     return 0
