@@ -577,12 +577,11 @@ class DynamicTriangleKCore:
         stats.strategy = "recompute"
         stats.full_snapshots = 1
         kappa = dict(self._kappa)
-        graph = self._graph
         for u, v in removed:
-            graph.remove_edge(u, v)
+            self._graph.remove_edge(u, v)
             del kappa[self._unlink(u, v)]
         for u, v in added:
-            graph.add_edge(u, v)
+            self._graph.add_edge(u, v)
             kappa[self._link(u, v)] = 0
         self._expected_edges = self._graph.num_edges
         # update() overwrites values but keeps this dict's key objects,
