@@ -60,9 +60,9 @@ path.
 
 from __future__ import annotations
 
-import gc
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from .._gc import collector_paused
 from ..exceptions import (
     EdgeExistsError,
     EdgeNotFoundError,
@@ -239,9 +239,7 @@ class DynamicTriangleKCore:
         # collection of the whole heap (~20 ms on an 8k-vertex, 76k-edge
         # graph, nearly doubling the build).  The map holds no reference
         # cycles, so the collector is paused for the build instead.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             keys: Dict[Vertex, Dict[Vertex, Edge]] = {
                 vertex: {} for vertex in self._graph.vertices()
             }
@@ -249,9 +247,6 @@ class DynamicTriangleKCore:
                 a, b = edge
                 keys[a][b] = edge
                 keys[b][a] = edge
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         #: ``{vertex: {neighbor: edge}}`` whose values are the kappa map's
         #: own key objects (see the module docstring for the sync rule).
         self._edge_keys = keys

@@ -45,6 +45,7 @@ from bisect import bisect_left
 from itertools import chain
 from typing import Dict, List, Sequence
 
+from .._gc import collector_paused
 from ..graph.edge import Edge, Vertex, canonical_edge
 from ..graph.undirected import Graph
 
@@ -430,19 +431,22 @@ class CSRGraph:
         the processing order.  This is where the peel's integers become
         Python objects: with int labels the endpoints are permuted into
         processing order and canonicalized in numpy, and the dict is built
-        in one ``dict(zip(...))``.
+        in one ``dict(zip(...))``.  The m tuples and the dict hold no
+        reference cycles, so the cyclic collector is paused while they are
+        built (:func:`repro._gc.collector_paused`).
         """
-        if self.num_edges and self._vectorized_labels():
-            order = np.asarray(order_by_eid, dtype=np.int64)
-            first, second = self._canonical_ends(order)
-            kappa = np.asarray(kappa_by_eid, dtype=np.int64)[order].tolist()
-            return dict(zip(zip(first, second), kappa))
-        edges = self.edge_labels()
-        kappa = _as_list(kappa_by_eid)
-        order = _as_list(order_by_eid)
-        return dict(
-            zip(map(edges.__getitem__, order), map(kappa.__getitem__, order))
-        )
+        with collector_paused():
+            if self.num_edges and self._vectorized_labels():
+                order = np.asarray(order_by_eid, dtype=np.int64)
+                first, second = self._canonical_ends(order)
+                kappa = np.asarray(kappa_by_eid, dtype=np.int64)[order].tolist()
+                return dict(zip(zip(first, second), kappa))
+            edges = self.edge_labels()
+            kappa = _as_list(kappa_by_eid)
+            order = _as_list(order_by_eid)
+            return dict(
+                zip(map(edges.__getitem__, order), map(kappa.__getitem__, order))
+            )
 
     def edge_labels(self) -> List[Edge]:
         """Canonical original-label edges indexed by edge id (length m)."""

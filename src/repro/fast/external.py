@@ -73,13 +73,13 @@ import shutil
 import tempfile
 import zlib
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import SpillError
 from . import csr as _csr_mod
 from .csr import CSRGraph
-from .kernels import supports_and_triangles
+from .kernels import _edge_index, _forward_wedges, supports_and_triangles
 
 __all__ = [
     "DEFAULT_PARTITIONS",
@@ -109,7 +109,8 @@ DEFAULT_PARTITIONS = 4
 
 #: Arc-count ceiling per enumeration chunk: bounds the size of the numpy
 #: temporaries `_forward_wedges` allocates (a few int64 arrays of this
-#: order), independent of partition size.
+#: order), independent of partition size.  The O(m) edge index every chunk
+#: shares (`_edge_index`) is built once per run, not once per chunk.
 ENUM_CHUNK_ARCS = 1 << 18
 
 #: Triangles per peel-scan chunk: bounds the transient row block read from
@@ -956,7 +957,7 @@ def _enum_chunks(
     start = lo
     while start < hi:
         target = indptr[start] + max_arcs
-        end = bisect_left(indptr, target, start + 1, hi)
+        end = bisect_right(indptr, target, start + 1, hi + 1) - 1
         if end <= start:
             end = start + 1
         chunks.append((start, end))
@@ -970,6 +971,7 @@ def _enumerate_partition(
     hi: int,
     out_path: str,
     supports: "object",
+    index: "object",
 ) -> int:
     """Enumerate triangles owned by ``[lo, hi)``, spilling them to disk.
 
@@ -977,18 +979,20 @@ def _enumerate_partition(
     triangle's three edge ids to ``out_path`` — in exactly the order
     :func:`supports_and_triangles` emits them, so concatenating partition
     files in ascending range order reproduces the in-RAM triangle list bit
-    for bit.  Returns the triangle count.
+    for bit.  Returns the triangle count.  ``index`` is the run's
+    :func:`~repro.fast.kernels._edge_index` of ``csr`` (None without
+    numpy).
     """
     np = _csr_mod.np
     count = 0
     try:
         with open(out_path, "wb") as fh:
             if np is not None:
-                from .kernels import _forward_wedges
-
                 for sub_lo, sub_hi in _enum_chunks(csr, lo, hi,
                                                    ENUM_CHUNK_ARCS):
-                    e_uv, e_uw, e_vw = _forward_wedges(csr, sub_lo, sub_hi)
+                    e_uv, e_uw, e_vw = _forward_wedges(
+                        csr, sub_lo, sub_hi, index
+                    )
                     if e_uv.size == 0:
                         continue
                     tri = np.stack((e_uv, e_uw, e_vw), axis=1).ravel()
@@ -1326,16 +1330,18 @@ def decompose_spill(
     scratch = _make_scratch(ext.spill_dir)
     try:
         tri_files: List[Tuple[str, int]] = []
+        index = _edge_index(csr) if np is not None and admitted else None
         for idx in admitted:
             ext.verify_partition(idx)
             lo, hi = ext.partitions[idx]
             path = os.path.join(scratch, f"tri-{idx}.bin")
-            count = _enumerate_partition(csr, lo, hi, path, supports)
+            count = _enumerate_partition(csr, lo, hi, path, supports, index)
             tri_files.append((path, count))
             if os.environ.get(_CRASH_ENV):
                 os._exit(13)
             if memory_budget is not None:
                 ext.release_pages()
+        index = None  # O(m) and unused by the peel: free it first
         run_info["bytes_mapped"] += sum(24 * c for _, c in tri_files)
 
         if m == 0:

@@ -1,8 +1,8 @@
 """Flat-array kernels: triangle enumeration and Algorithm 1 peeling.
 
 These are the hot loops behind ``backend="csr"``.  They operate purely on
-the integer arrays of a :class:`~repro.fast.csr.CSRGraph` — no tuples, no
-hashing, no sets — which is where the speedup over the reference
+the integer arrays of a :class:`~repro.fast.csr.CSRGraph` — no tuples,
+no dicts, no sets — which is where the speedup over the reference
 implementation comes from:
 
 * :func:`triangle_count` / :func:`triangle_supports` — the *forward*
@@ -10,7 +10,11 @@ implementation comes from:
   the common forward neighbors are found by merge-intersecting two sorted
   adjacency suffixes.  Because the merge walks arc positions, the parallel
   ``arc_eids`` array yields the edge ids of all three triangle edges with
-  no lookups.
+  no lookups.  With numpy the same triangles come from a vectorized join
+  over forward edges (:func:`_forward_wedges`): each wedge ``(v, w)`` is
+  first screened by one gather into a byte table hashed by the edge keys,
+  which rejects most open wedges, and only the survivors pay the binary
+  search that confirms the edge and returns its id.
 * :func:`peel` — Algorithm 1 (paper §IV-A) on edge-indexed int arrays,
   delegated to the level-synchronous batched peel of
   :mod:`repro.fast.peelers` (layer L3).
@@ -33,17 +37,74 @@ from .csr import CSRGraph
 from .peelers import IntSeq, run_peel
 
 
-def _forward_wedges(csr: CSRGraph, lo: int = 0, hi: Optional[int] = None):
+#: Slots per edge in the byte table that screens wedges before the edge
+#: search; the table has the next power of two at or above this many slots
+#: per edge.  At 8 at most about 1 slot in 9 is set, so most open wedges
+#: stop at one gather and only the rest pay the binary search.
+_FILTER_SLOTS_PER_EDGE = 8
+
+#: Odd 64-bit multiplier of the table's hash (Fibonacci hashing, 2^64/phi):
+#: the top bits of ``key * multiplier mod 2^64`` index the table.
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
+def _edge_index(csr: CSRGraph):
+    """What every :func:`_forward_wedges` call over ``csr`` shares.
+
+    Returns ``(eid_base, his, edge_keys, table, shift)``: ``eid_base[u]``
+    is the first edge id whose lower endpoint is ``u`` (length ``n + 1``),
+    ``his`` a view of every edge's upper endpoint, ``edge_keys`` the
+    sorted ``lo * n + hi`` keys, and ``table`` the byte table that is set
+    at the hash slot of every edge key (:func:`_slots` with ``shift``).
+    Building it is O(n + m); a caller that enumerates in chunks builds it
+    once.
+    """
+    np = _csr_mod.np
+    n = csr.num_vertices
+    m = csr.num_edges
+    indptr = np.frombuffer(csr.indptr, dtype=np.int64)
+    fstart = np.frombuffer(csr.forward_start, dtype=np.int64)
+    endpoints = np.frombuffer(csr.edge_endpoints, dtype=np.int64)
+    eid_base = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(indptr[1:] - fstart, out=eid_base[1:])
+    his = endpoints[1::2]
+    edge_keys = endpoints[0::2] * n
+    edge_keys += his
+    bits = max(2, (_FILTER_SLOTS_PER_EDGE * m - 1).bit_length())
+    table = np.zeros(1 << bits, dtype=bool)
+    shift = 64 - bits
+    table[_slots(edge_keys, shift)] = True
+    return eid_base, his, edge_keys, table, shift
+
+
+def _slots(keys, shift: int):
+    """Hash slot of each int64 key: the top ``64 - shift`` bits of a
+    multiplicative hash."""
+    np = _csr_mod.np
+    slots = keys.view(np.uint64) * np.uint64(_HASH_MULTIPLIER)
+    slots >>= np.uint64(shift)
+    return slots.view(np.int64)
+
+
+def _forward_wedges(
+    csr: CSRGraph, lo: int = 0, hi: Optional[int] = None, index=None
+):
     """Vectorized forward-wedge join (numpy path).
 
     Returns ``(e_uv, e_uw, e_vw)`` int64 arrays, one entry per triangle, in
     exactly the order the pure merge loop discovers them: ascending by the
-    first arc's position, then by the second endpoint.  For every forward
-    arc position ``p`` the candidate apexes are the *later* positions of
-    the same (sorted) block; a candidate closes a triangle iff ``(v, w)``
-    is an edge, which one searchsorted over the sorted edge keys answers —
-    and the found rank IS the edge id, because ids are assigned in sorted
-    key order.
+    first arc's position, then by the second endpoint.  The forward arcs
+    in position order are the edges in id order, so the join runs in edge
+    ids: for every edge ``(u, v)`` the candidate apexes ``w`` are the upper
+    endpoints of the *later* edges with lower endpoint ``u``, and ``v`` is
+    the edge's own upper endpoint, repeated once per candidate.  A
+    candidate closes a triangle iff ``(v, w)`` is an edge.  One gather into
+    a byte table hashed by the edge keys rejects most open wedges; a
+    searchsorted over the sorted edge keys settles the rest, and the found
+    rank IS the edge id, because ids are assigned in sorted key order.
+
+    ``index`` is :func:`_edge_index` of ``csr``, built here when None; a
+    caller that enumerates in chunks passes one built once.
 
     ``lo``/``hi`` restrict the *first* vertex of each wedge to the id range
     ``[lo, hi)`` — the partitioning primitive behind the ``external`` backend.
@@ -57,32 +118,35 @@ def _forward_wedges(csr: CSRGraph, lo: int = 0, hi: Optional[int] = None):
     m = csr.num_edges
     if hi is None:
         hi = n
-    indptr = np.frombuffer(csr.indptr, dtype=np.int64)
-    dst = np.frombuffer(csr.indices, dtype=np.int64)
-    eids = np.frombuffer(csr.arc_eids, dtype=np.int64)
-    fstart = np.frombuffer(csr.forward_start, dtype=np.int64)
-    endpoints = np.frombuffer(csr.edge_endpoints, dtype=np.int64)
-    edge_keys = endpoints[0::2] * n + endpoints[1::2]
+    if index is None:
+        index = _edge_index(csr)
+    eid_base, his, edge_keys, table, shift = index
 
-    block_ends = indptr[lo + 1 : hi + 1]
-    degrees = block_ends - indptr[lo:hi]
-    positions = np.arange(indptr[lo], indptr[hi], dtype=np.int64)
-    block_end = np.repeat(block_ends, degrees)
-    is_forward = positions >= np.repeat(fstart[lo:hi], degrees)
-    counts = np.where(is_forward, block_end - positions - 1, 0)
+    # Edge e = (u, v) pairs with the later edges of u's forward block,
+    # e + 1 .. eid_base[u + 1] - 1: each is one candidate (u, w).
+    e0, e1 = int(eid_base[lo]), int(eid_base[hi])
+    ids = np.arange(e0, e1 + 1, dtype=np.int64)
+    block_end = eid_base[lo + 1 : hi + 1]
+    counts = np.repeat(block_end, np.diff(eid_base[lo : hi + 1])) - ids[1:]
     total = int(counts.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    first = np.repeat(positions, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    second = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + first + 1
+    first = np.repeat(ids[:-1], counts)
+    # second = first + 1 + (rank inside first's run of candidates).
+    second = np.arange(total, dtype=np.int64)
+    second += np.repeat(ids[1:] - (np.cumsum(counts) - counts), counts)
 
-    key = dst[first] * n + dst[second]
+    key = np.repeat(his[e0:e1], counts)
+    key *= n
+    key += his[second]
+    maybe = np.flatnonzero(table[_slots(key, shift)])
+    key = key[maybe]
     loc = np.searchsorted(edge_keys, key)
     np.minimum(loc, m - 1, out=loc)
     hit = edge_keys[loc] == key
-    return eids[first][hit], eids[second][hit], loc[hit]
+    maybe = maybe[hit]
+    return first[maybe], second[maybe], loc[hit]
 
 
 def triangle_count(csr: CSRGraph) -> int:
@@ -135,7 +199,8 @@ def supports_and_triangles(
 
     Returns ``(supports, tri_edges)`` where ``supports[e]`` is the triangle
     support of edge id ``e`` and ``tri_edges`` stores each triangle as three
-    consecutive edge ids (empty when ``record_triangles`` is false).  The
+    consecutive edge ids (empty when ``record_triangles`` is false, and
+    then never built: each edge column is counted on its own).  The
     peeling kernel consumes both, so the triangles found while counting
     supports are never recomputed.  Both are int64 ``ndarray`` objects with
     numpy and ``list`` objects without it (module docstring).
@@ -159,12 +224,14 @@ def supports_and_triangles(
         if csr.num_edges == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        e_uv, e_uw, e_vw = _forward_wedges(csr, lo, hi)
-        tri = np.stack((e_uv, e_uw, e_vw), axis=1).ravel()
-        supports = np.bincount(tri, minlength=csr.num_edges)
+        columns = _forward_wedges(csr, lo, hi)
         if not record_triangles:
-            tri = np.empty(0, dtype=np.int64)
-        return supports, tri
+            supports = np.bincount(columns[0], minlength=csr.num_edges)
+            for column in columns[1:]:
+                supports += np.bincount(column, minlength=csr.num_edges)
+            return supports, np.empty(0, dtype=np.int64)
+        tri = np.stack(columns, axis=1).ravel()
+        return np.bincount(tri, minlength=csr.num_edges), tri
 
     indptr = csr.indptr.tolist()
     indices = csr.indices.tolist()

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import repro.core.dynamic as dynamic_mod
 from repro.core import DynamicTriangleKCore, triangle_kcore_decomposition
 from repro.core.dynamic import h_index, insertion_upper_bound
 from repro.exceptions import EdgeExistsError, EdgeNotFoundError, SelfLoopError
@@ -298,6 +299,18 @@ class TestEdgeKeyMap:
         assert_edge_keys_in_sync(maintainer)
         maintainer.add_edge(0, 50)
         assert_edge_keys_in_sync(maintainer)
+
+    def test_build_pauses_gc_through_shared_helper(self, monkeypatch):
+        entered = []
+        real = dynamic_mod.collector_paused
+
+        def recording():
+            entered.append(True)
+            return real()
+
+        monkeypatch.setattr(dynamic_mod, "collector_paused", recording)
+        DynamicTriangleKCore(complete_graph(5))
+        assert entered == [True]
 
     def test_build_leaves_gc_switch_as_found(self):
         """The build pauses the cyclic GC and must restore its state."""

@@ -40,7 +40,8 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import maxrss_bytes
 from repro.exceptions import BackendError, SpillError
 from repro.fast import csr_decomposition
-from repro.fast import csr as csr_mod
+from repro.fast import csr as csr_mod, external as external_mod
+from repro.fast import supports_and_triangles
 from repro.fast.external import (
     DEFAULT_PARTITIONS,
     MANIFEST_NAME,
@@ -54,7 +55,7 @@ from repro.fast.external import (
     spill_edges,
 )
 from repro.fast.csr import CSRGraph
-from repro.graph import Graph, complete_graph, erdos_renyi
+from repro.graph import Graph, complete_graph, erdos_renyi, relaxed_caveman
 
 PARTITION_COUNTS = (1, 2, 3, 7)
 
@@ -187,6 +188,60 @@ class TestBitIdentity:
             ext.close()
         assert got.kappa == want.kappa
         assert got.processing_order == want.processing_order
+
+    @pytest.mark.skipif(csr_mod.np is None, reason="needs numpy installed")
+    @pytest.mark.parametrize("name", ["er_medium", "caveman"])
+    def test_multi_chunk_enumeration(self, name, monkeypatch):
+        # 64-arc chunks send every partition through several enumeration
+        # chunks, all sharing one edge index per run.
+        graph = (
+            relaxed_caveman(12, 10, 0.15, seed=5)
+            if name == "caveman" else graph_zoo()[name]
+        )
+        want = csr_decomposition(graph)
+        _, want_tri = supports_and_triangles(CSRGraph.from_graph(graph))
+        monkeypatch.setattr(external_mod, "ENUM_CHUNK_ARCS", 64)
+        calls = {"chunks": 0, "indexes": 0}
+        spilled = []
+
+        def counting(fn, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        def capture(csr, lo, hi, out_path, supports, index):
+            count = real_enumerate(csr, lo, hi, out_path, supports, index)
+            with open(out_path, "rb") as fh:
+                spilled.append(fh.read())
+            return count
+
+        real_enumerate = external_mod._enumerate_partition
+        monkeypatch.setattr(external_mod, "_enumerate_partition", capture)
+        monkeypatch.setattr(external_mod, "_forward_wedges", counting(
+            external_mod._forward_wedges, "chunks"))
+        monkeypatch.setattr(external_mod, "_edge_index", counting(
+            external_mod._edge_index, "indexes"))
+        for parts in (1, 3, 7):
+            calls.update(chunks=0, indexes=0)
+            spilled.clear()
+            got = external_decomposition(graph, partitions=parts)
+            assert got.kappa == want.kappa, parts
+            assert got.processing_order == want.processing_order, parts
+            assert b"".join(spilled) == want_tri.tobytes(), parts
+            assert calls["indexes"] == 1
+            # Each chunk scans at most 64 arcs (or one vertex's block).
+            assert calls["chunks"] >= -(-2 * graph.num_edges // 64) > 1
+
+    def test_enum_chunks_tile_range_within_cap(self):
+        csr = CSRGraph.from_graph(relaxed_caveman(12, 10, 0.15, seed=5))
+        indptr = csr.indptr
+        for lo, hi in ((0, csr.num_vertices), (5, 77)):
+            chunks = external_mod._enum_chunks(csr, lo, hi, 64)
+            assert [c[0] for c in chunks[1:]] == [c[1] for c in chunks[:-1]]
+            assert (chunks[0][0], chunks[-1][1]) == (lo, hi)
+            for start, end in chunks:
+                assert end - start == 1 or indptr[end] - indptr[start] <= 64
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import repro.fast.csr as csr_module
+from repro._gc import collector_paused
 from repro.fast import CSRGraph, peel, supports_and_triangles, triangle_supports
+from repro.fast import kernels
 from repro.graph import Graph, complete_graph, erdos_renyi, relaxed_caveman
 from repro.graph.triangles import triangle_supports as reference_supports
+from tests.test_peel_executor import ZOO_NAMES, graphs, zoo
 
 
 @pytest.fixture(params=["numpy", "pure"])
@@ -186,3 +192,117 @@ class TestBuildIdentity:
             assert list(getattr(built_numpy, field)) == list(
                 getattr(built_pure, field)
             ), field
+
+
+def _numpy_and_pure_enumeration(graph: Graph, monkeypatch):
+    """``(numpy, pure)`` enumeration of one snapshot, as lists.
+
+    Each is ``(supports, tri_edges, supports without the list, count)``.
+    """
+    csr = CSRGraph.from_graph(graph)
+
+    def run():
+        supports, tri_edges = supports_and_triangles(csr)
+        return (
+            list(supports),
+            list(tri_edges),
+            triangle_supports(csr),
+            kernels.triangle_count(csr),
+        )
+
+    numpy_out = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(csr_module, "np", None)
+        pure_out = run()
+    return numpy_out, pure_out
+
+
+@pytest.mark.skipif(csr_module.np is None, reason="needs numpy installed")
+class TestWedgeFilter:
+    """The byte-table prefilter never changes what the wedge join finds."""
+
+    @pytest.mark.parametrize("name", ZOO_NAMES)
+    def test_colliding_table_matches_merge_loop(self, name, monkeypatch):
+        # Four slots: nearly every open wedge lands on a set slot, so the
+        # binary search behind the filter decides them all.
+        monkeypatch.setattr(kernels, "_FILTER_SLOTS_PER_EDGE", 0)
+        graph = zoo()[name]
+        if graph.num_edges:
+            table = kernels._edge_index(CSRGraph.from_graph(graph))[3]
+            assert len(table) == 4
+        numpy_out, pure_out = _numpy_and_pure_enumeration(graph, monkeypatch)
+        assert numpy_out == pure_out
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_vertices=20))
+    def test_default_table_matches_merge_loop(self, graph):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            numpy_out, pure_out = _numpy_and_pure_enumeration(
+                graph, monkeypatch
+            )
+        assert numpy_out == pure_out
+
+    def test_ranges_concatenate_to_whole_graph(self):
+        csr = CSRGraph.from_graph(relaxed_caveman(10, 8, 0.2, seed=3))
+        index = kernels._edge_index(csr)
+        whole = kernels._forward_wedges(csr)
+        cuts = (0, 7, 8, 31, csr.num_vertices)
+        parts = [
+            kernels._forward_wedges(csr, lo, hi, index)
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        for column, pieces in zip(whole, zip(*parts)):
+            assert column.tolist() == [e for p in pieces for e in p.tolist()]
+
+
+def _restore_collector(was_enabled: bool) -> None:
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """The decode pauses the cyclic GC and leaves its switch as found."""
+
+    def test_decode_leaves_switch_as_found(self, numpy_mode):
+        graph = relaxed_caveman(6, 6, 0.2, seed=4)
+        csr = CSRGraph.from_graph(graph)
+        kappa, order = peel(csr)
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            csr.decode_kappa(kappa, order)
+            assert gc.isenabled()
+            gc.disable()
+            csr.decode_kappa(kappa, order)
+            assert not gc.isenabled()
+        finally:
+            _restore_collector(was_enabled)
+
+    def test_decode_runs_with_collector_off(self, numpy_mode, monkeypatch):
+        seen = []
+
+        @contextlib.contextmanager
+        def recording():
+            with collector_paused():
+                seen.append(gc.isenabled())
+                yield
+
+        monkeypatch.setattr(csr_module, "collector_paused", recording)
+        csr = CSRGraph.from_graph(complete_graph(5))
+        csr.decode_kappa(*peel(csr))
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_exception_restores_switch(self, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            _restore_collector(enabled)
+            with pytest.raises(RuntimeError, match="inside"):
+                with collector_paused():
+                    assert not gc.isenabled()
+                    raise RuntimeError("raised inside the pause")
+            assert gc.isenabled() is enabled
+        finally:
+            _restore_collector(was_enabled)
