@@ -43,9 +43,9 @@ from .peelers import IntSeq, run_peel
 #: stop at one gather and only the rest pay the binary search.
 _FILTER_SLOTS_PER_EDGE = 8
 
-#: Odd 64-bit multiplier of the table's hash (Fibonacci hashing, 2^64/phi):
-#: the top bits of ``key * multiplier mod 2^64`` index the table.
-_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+#: Odd 64-bit multiplier of the table's hash (Fibonacci hashing, 2^64/phi),
+#: as the int64 with the same bits so the product wraps in int64.
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15 - (1 << 64)
 
 
 def _edge_index(csr: CSRGraph):
@@ -66,7 +66,7 @@ def _edge_index(csr: CSRGraph):
     fstart = np.frombuffer(csr.forward_start, dtype=np.int64)
     endpoints = np.frombuffer(csr.edge_endpoints, dtype=np.int64)
     eid_base = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(indptr[1:] - fstart, out=eid_base[1:])
+    (indptr[1:] - fstart).cumsum(out=eid_base[1:])
     his = endpoints[1::2]
     edge_keys = endpoints[0::2] * n
     edge_keys += his
@@ -79,11 +79,15 @@ def _edge_index(csr: CSRGraph):
 
 def _slots(keys, shift: int):
     """Hash slot of each int64 key: the top ``64 - shift`` bits of a
-    multiplicative hash."""
-    np = _csr_mod.np
-    slots = keys.view(np.uint64) * np.uint64(_HASH_MULTIPLIER)
-    slots >>= np.uint64(shift)
-    return slots.view(np.int64)
+    multiplicative hash.
+
+    The product wraps in int64 and the shift is arithmetic, so a slot is
+    in ``[-S/2, S/2)`` for a table of ``S = 2**(64 - shift)`` slots; numpy
+    indexing maps the negative half onto the table's upper half.
+    """
+    slots = keys * _HASH_MULTIPLIER
+    slots >>= shift
+    return slots
 
 
 def _forward_wedges(
@@ -125,24 +129,26 @@ def _forward_wedges(
     # Edge e = (u, v) pairs with the later edges of u's forward block,
     # e + 1 .. eid_base[u + 1] - 1: each is one candidate (u, w).
     e0, e1 = int(eid_base[lo]), int(eid_base[hi])
+    # (numpy calls below are methods: on small graphs the module-level
+    # wrappers cost more than the work.)
     ids = np.arange(e0, e1 + 1, dtype=np.int64)
     block_end = eid_base[lo + 1 : hi + 1]
-    counts = np.repeat(block_end, np.diff(eid_base[lo : hi + 1])) - ids[1:]
+    counts = block_end.repeat(block_end - eid_base[lo:hi]) - ids[1:]
     total = int(counts.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    first = np.repeat(ids[:-1], counts)
+    first = ids[:-1].repeat(counts)
     # second = first + 1 + (rank inside first's run of candidates).
     second = np.arange(total, dtype=np.int64)
-    second += np.repeat(ids[1:] - (np.cumsum(counts) - counts), counts)
+    second += (ids[1:] - (counts.cumsum() - counts)).repeat(counts)
 
-    key = np.repeat(his[e0:e1], counts)
+    key = his[e0:e1].repeat(counts)
     key *= n
     key += his[second]
-    maybe = np.flatnonzero(table[_slots(key, shift)])
+    maybe = table[_slots(key, shift)].nonzero()[0]
     key = key[maybe]
-    loc = np.searchsorted(edge_keys, key)
+    loc = edge_keys.searchsorted(key)
     np.minimum(loc, m - 1, out=loc)
     hit = edge_keys[loc] == key
     maybe = maybe[hit]
@@ -230,7 +236,7 @@ def supports_and_triangles(
             for column in columns[1:]:
                 supports += np.bincount(column, minlength=csr.num_edges)
             return supports, np.empty(0, dtype=np.int64)
-        tri = np.stack(columns, axis=1).ravel()
+        tri = np.concatenate(columns).reshape(3, -1).T.ravel()
         return np.bincount(tri, minlength=csr.num_edges), tri
 
     indptr = csr.indptr.tolist()
