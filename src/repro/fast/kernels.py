@@ -236,7 +236,7 @@ def supports_and_triangles(
             for column in columns[1:]:
                 supports += np.bincount(column, minlength=csr.num_edges)
             return supports, np.empty(0, dtype=np.int64)
-        tri = np.concatenate(columns).reshape(3, -1).T.ravel()
+        tri = np.stack(columns, axis=1).ravel()
         return np.bincount(tri, minlength=csr.num_edges), tri
 
     indptr = csr.indptr.tolist()
