@@ -39,7 +39,7 @@ from .exceptions import (
 )
 from .graph import Graph, SnapshotStream, canonical_edge, canonical_triangle
 
-__version__ = "5.0.1"
+__version__ = "5.0.2"
 
 __all__ = [
     "DatasetError",

@@ -131,21 +131,6 @@ class Graph:
         self._num_edges = 0
         self._version += 1
 
-    def bump_version(self, amount: int = 1) -> int:
-        """Advance the mutation counter without a structural change.
-
-        For consumers that swap one graph in for another but must keep a
-        single monotonically increasing version stream (e.g. the service
-        layer's recompute path, which replaces its maintained graph with
-        a replayed copy): bumping lets the replacement start strictly
-        after the original.  Also invalidates any engine-cached artifacts
-        for this graph, which is always safe.  Returns the new version.
-        """
-        if amount < 1:
-            raise ValueError(f"amount must be >= 1, got {amount}")
-        self._version += amount
-        return self._version
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #

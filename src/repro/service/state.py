@@ -5,9 +5,10 @@ One :class:`ServiceState` owns everything a long-lived server needs:
 * a warm :class:`~repro.engine.Engine` (any registered backend) whose
   artifact cache and instrumentation are shared with offline callers;
 * a :class:`~repro.core.dynamic.DynamicTriangleKCore` maintainer as the
-  **single source of truth** — every ``POST /edits`` batch is applied to
-  it under a single-writer lock with Rule 0 incremental repairs, so the
-  per-edge kappa map is always exact at the current
+  **single source of truth** — every ``POST /edits`` batch is coalesced
+  and applied to it in place under a single-writer lock, through
+  :meth:`~repro.core.dynamic.DynamicTriangleKCore.diff_apply` at any
+  strategy, so the per-edge kappa map is always exact at the current
   :attr:`~repro.graph.undirected.Graph.version`;
 * community reads answered by BFS over the maintainer's live graph and
   kappa map — no copy, no index — so they are always at-version;
@@ -28,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from ..core.community import community_of_vertex, densest_community_of_vertex
 from ..core.dynamic import DynamicTriangleKCore
@@ -36,13 +37,7 @@ from ..core.hierarchy import CommunityHierarchy, CommunityNode
 from ..engine import Engine
 from ..graph.edge import Vertex, canonical_edge
 from ..graph.undirected import Graph
-from ..testing.editscript import (
-    OUTCOME_NOOP,
-    OUTCOME_OK,
-    EditScript,
-    apply_coalesced,
-    coalesce,
-)
+from ..testing.editscript import EditScript, apply_coalesced, coalesce
 from .protocol import (
     ERR_BAD_REQUEST,
     ERR_NOT_FOUND,
@@ -226,6 +221,11 @@ class ServiceState:
         queries (any registered name or ``"auto"``).
     engine:
         Bring-your-own engine (tests); built from ``backend`` otherwise.
+    edit_strategy:
+        Default repair strategy of :meth:`apply_edits` (any of
+        :attr:`DynamicTriangleKCore.STRATEGIES`); a batch may name its
+        own.  Writes always run through the maintainer, whatever the
+        ``backend``.
     """
 
     def __init__(
@@ -468,107 +468,51 @@ class ServiceState:
         counted per outcome and skipped — they never corrupt state or
         abort the rest of the batch.
 
-        ``strategy`` picks how kappa is repaired: ``"incremental"``
-        (or its alias ``"batch"``) coalesces the script to its net edge
-        diff and applies Rule 0 per-op repairs through the maintainer,
-        ``"recompute"`` replays the script structurally and runs one
-        fresh decomposition (cheapest at very high churn), ``"auto"``
-        (default) resolves through
-        :meth:`DynamicTriangleKCore.resolve_strategy` with the script's
-        op count — recompute at or above the churn crossover, per-op
-        repair below it.  The response names the resolved strategy.
-
-        The incremental path never snapshots the kappa map:
-        the reported ``delta`` counts come straight from the
-        maintainer's :class:`~repro.core.dynamic.KappaDelta` recorder.
-        Only the recompute path (which swaps the maintainer wholesale)
-        still pays the O(|E|) before-snapshot.
+        Every strategy takes one path: the script is coalesced to its
+        net edge diff and applied in place through
+        :meth:`DynamicTriangleKCore.diff_apply`.  ``strategy`` (default
+        ``edit_strategy``) picks how kappa is repaired there:
+        ``"incremental"`` (or its alias ``"batch"``) runs per-op
+        Algorithm 2 repairs, ``"recompute"`` applies the net batch
+        structurally and runs Algorithm 1 once, and ``"auto"`` lets the
+        maintainer choose on the coalesced batch.  All give the same
+        kappa and the same version; the version moves only on effective
+        mutations.  The response names the strategy that ran and counts
+        the delta from the write's
+        :class:`~repro.core.dynamic.KappaDelta`.  An unknown strategy
+        answers 400 before anything is touched.
         """
+        strategy = strategy or self.edit_strategy
+        if strategy not in DynamicTriangleKCore.STRATEGIES:
+            raise ServiceError(
+                400,
+                ERR_BAD_REQUEST,
+                "strategy must be incremental/recompute/auto/batch, "
+                f"got {strategy!r}",
+            )
         with self._write_lock:
             prev_version = self.version
             maintainer = self.maintainer
-            try:
-                strategy = maintainer.resolve_strategy(
-                    strategy or self.edit_strategy, n_ops=len(script)
-                )
-            except ValueError as error:
-                raise ServiceError(400, ERR_BAD_REQUEST, str(error)) from None
-            if strategy == "recompute":
-                before_kappa = dict(maintainer.kappa)
-                applied, rejected = self._replay_by_recompute(script)
-                maintainer = self.maintainer
-                after_kappa = maintainer.kappa
-                created = sum(1 for e in after_kappa if e not in before_kappa)
-                deleted = sum(1 for e in before_kappa if e not in after_kappa)
-                promoted = demoted = 0
-                for edge, value in after_kappa.items():
-                    old = before_kappa.get(edge)
-                    if old is None:
-                        continue
-                    if value > old:
-                        promoted += 1
-                    elif value < old:
-                        demoted += 1
-            else:
-                co = coalesce(maintainer.graph, script)
-                delta = apply_coalesced(maintainer, co, strategy=strategy)
-                applied = co.applied
-                rejected = co.rejected
-                created = len(delta.created)
-                deleted = len(delta.deleted)
-                promoted = len(delta.promoted)
-                demoted = len(delta.demoted)
+            co = coalesce(maintainer.graph, script)
+            delta = apply_coalesced(maintainer, co, strategy=strategy)
+            applied = co.applied
             self._edits_applied += applied
             self._edit_batches += 1
             return {
                 "version": self.version,
                 "prev_version": prev_version,
-                "strategy": strategy,
+                "strategy": delta.stats.strategy,
                 "ops": len(script),
                 "applied": applied,
-                "rejected": rejected,
+                "rejected": co.rejected,
                 "delta": {
-                    "created": created,
-                    "deleted": deleted,
-                    "promoted": promoted,
-                    "demoted": demoted,
+                    "created": len(delta.created),
+                    "deleted": len(delta.deleted),
+                    "promoted": len(delta.promoted),
+                    "demoted": len(delta.demoted),
                 },
                 "max_kappa": maintainer.max_kappa,
             }
-
-    def _replay_by_recompute(
-        self, script: EditScript
-    ) -> Tuple[int, Dict[str, int]]:
-        """Recompute path: replay the script structurally, decompose once.
-
-        The final graph goes through the engine's static backend (cache,
-        instrumentation and all) and a fresh maintainer is seeded from
-        that result, replacing the old one atomically.  The new graph's
-        version is advanced past the old one so the monotonic-version
-        contract survives the swap.
-        """
-        from ..testing.editscript import apply_op
-
-        old_version = self.version
-        target = self.graph.copy()
-        rejected: Dict[str, int] = {}
-        applied = 0
-        for op in script:
-            outcome = apply_op(target, op)
-            if outcome in (OUTCOME_OK, OUTCOME_NOOP):
-                applied += 1
-            else:
-                rejected[outcome] = rejected.get(outcome, 0) + 1
-        if target.version <= old_version:
-            target.bump_version(old_version - target.version + 1)
-        backend = self.engine.resolve(self.backend, target)
-        if backend == "dynamic":
-            backend = "reference"
-        result = self.engine.decompose(target, backend=backend)
-        self.maintainer = DynamicTriangleKCore(
-            target, copy=False, seed_result=result
-        )
-        return applied, rejected
 
     # ------------------------------------------------------------------ #
     # stats wiring

@@ -243,10 +243,49 @@ class TestEdits:
         )
         assert outcome.deleted > 0
 
-    @pytest.mark.parametrize("strategy", ["incremental", "batch", "recompute"])
+    @pytest.mark.parametrize(
+        "strategy", ["incremental", "batch", "recompute", "auto"]
+    )
     def test_strategies_agree(self, strategy):
         script = generate("uniform", seed=5, n_ops=40)
         self.run_script_and_check_oracle(script, strategy=strategy)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            "uniform",
+            "churn",
+            "triangle_bursts",
+            "grow_shrink",
+            "adversarial",
+            "net_empty",
+        ],
+    )
+    def test_strategies_give_identical_responses(self, profile):
+        """Every strategy writes through the same path: from one state,
+        one script answers the same version, applied, rejected, delta and
+        max_kappa, and leaves the same kappa; only ``strategy`` differs.
+        A batch whose add and remove cancel leaves the version alone."""
+        if profile == "net_empty":
+            script = EditScript.from_json_obj(
+                {"ops": [["add", 11, 0], ["remove", 11, 0]]}
+            )
+        else:
+            script = generate(profile, seed=4, n_ops=40)
+        answers = {}
+        kappas = {}
+        for strategy in ("incremental", "batch", "recompute", "auto"):
+            state = ServiceState(make_fixture_graph())
+            answer = state.apply_edits(script, strategy=strategy)
+            assert answer.pop("strategy") in ("incremental", "recompute")
+            answers[strategy] = answer
+            kappas[strategy] = state.maintainer.kappa
+        assert (answers["incremental"]["version"] == 0) == (
+            profile == "net_empty"
+        )
+        for strategy in ("batch", "recompute", "auto"):
+            assert answers[strategy] == answers["incremental"], strategy
+            assert kappas[strategy] == kappas["incremental"], strategy
 
     def test_batch_strategy_counts_rejections(self):
         """Coalescing must classify adversarial ops like per-op."""
@@ -277,18 +316,20 @@ class TestEdits:
         self.run_script_and_check_oracle(script)
 
     def test_version_monotonic_across_batches_and_strategies(self):
+        # One seed per strategy, so that every batch changes the graph
+        # (the version moves only on effective mutations).
+        runs = (("incremental", 3), ("batch", 4), ("recompute", 5), (None, 6))
         with BackgroundServer(make_fixture_graph()) as server:
             with ServiceClient("127.0.0.1", server.port) as client:
-                seen = [client.healthz().version]
-                for strategy in ("incremental", "batch", "recompute", None):
+                version = client.healthz().version
+                for strategy, seed in runs:
                     outcome = client.edits(
-                        generate("churn", seed=3, n_ops=25),
+                        generate("churn", seed=seed, n_ops=25),
                         strategy=strategy,
                     )
-                    seen.append(outcome.version)
-                    seen.append(client.healthz().version)
-                assert seen == sorted(seen)
-                assert len(set(seen[1:])) > 1  # versions actually advanced
+                    assert outcome.version > version, strategy
+                    version = outcome.version
+                    assert client.healthz().version == version
 
     def test_read_your_writes(self):
         with BackgroundServer(make_fixture_graph()) as server:
@@ -301,9 +342,14 @@ class TestEdits:
     def test_bad_strategy_400(self):
         with BackgroundServer(make_fixture_graph()) as server:
             with ServiceClient("127.0.0.1", server.port) as client:
+                before = client.healthz()
                 with pytest.raises(ServiceClientError) as excinfo:
                     client.edits([("add", 1, 50)], strategy="telepathy")
                 assert excinfo.value.status == 400
+                after = client.healthz()
+                # Rejected before the script touched the graph.
+                assert after.version == before.version
+                assert after.vertices == before.vertices
 
 
 class TestReadFences:
