@@ -202,10 +202,7 @@ def run_external_bench(*, scale, edge_factor, budget, spill_dir=None,
     spill = spill_dir or tempfile.mkdtemp(prefix="repro-bench-spill-")
     try:
         ext = spill_edges(
-            stream_rmat_arcs(scale, edge_factor),
-            num_vertices,
-            spill,
-            memory_budget=budget,
+            stream_rmat_arcs(scale, edge_factor), num_vertices, spill
         )
         try:
             _, seconds = timed(
@@ -214,7 +211,6 @@ def run_external_bench(*, scale, edge_factor, budget, spill_dir=None,
                 )
             )
             record["edges"] = ext.csr.num_edges
-            record["partitions"] = len(ext.partitions)
             record["seconds"] = round(seconds, 3)
             record["in_ram_estimate_bytes"] = (
                 48 * ext.csr.num_edges + 16 * ext.csr.num_vertices + 8
@@ -288,7 +284,7 @@ def main(argv=None):
         return 1
     print(
         f"ok: peak RSS delta {delta} <= budget {record['budget_bytes']} "
-        f"({record['edges']} edges, {record['partitions']} partitions)"
+        f"({record['edges']} edges)"
     )
     return 0
 

@@ -114,8 +114,8 @@ def _add_engine_arguments(p: argparse.ArgumentParser) -> None:
         type=_parse_size,
         default=None,
         metavar="BYTES",
-        help="resident-memory budget for the external backend's partition "
-        "sizing, and the auto policy's spill threshold; accepts K/M/G "
+        help="resident-memory budget for the external backend's page "
+        "release, and the auto policy's spill threshold; accepts K/M/G "
         "suffixes (e.g. 256M)",
     )
     p.add_argument(
@@ -538,40 +538,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         from .testing import DEFAULT_ORACLES
 
         extra_kwargs["oracles"] = DEFAULT_ORACLES + ("external",)
-        print(
-            "extra oracle: external (out-of-core partitioned spill, "
-            "2 partitions) per checkpoint"
-        )
-    if getattr(args, "external_bug", False):
-        if args.backend != "external":
-            print("--external-bug needs --backend external")
-            return 2
-        print(
-            "self-test: injecting boundary-reconciliation bug (dropped "
-            "demotion at a partition seam) into the external oracle"
-        )
+        print("extra oracle: external (out-of-core spill) per checkpoint")
     start = time.perf_counter()
-    if getattr(args, "external_bug", False):
-        from .fast.external import inject_boundary_drop_bug
-
-        with inject_boundary_drop_bug():
-            result = fuzz(
-                seed=args.seed,
-                ops=args.ops,
-                profiles=profiles,
-                checkpoint_every=args.checkpoint_every,
-                shrink=args.shrink,
-                **extra_kwargs,
-            )
-    else:
-        result = fuzz(
-            seed=args.seed,
-            ops=args.ops,
-            profiles=profiles,
-            checkpoint_every=args.checkpoint_every,
-            shrink=args.shrink,
-            **extra_kwargs,
-        )
+    result = fuzz(
+        seed=args.seed,
+        ops=args.ops,
+        profiles=profiles,
+        checkpoint_every=args.checkpoint_every,
+        shrink=args.shrink,
+        **extra_kwargs,
+    )
     elapsed = time.perf_counter() - start
     for outcome in result.outcomes:
         status = "clean" if outcome.ok else "DIVERGED"
@@ -881,16 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("csr-vec", "external"),
         default=None,
         help="cross-check this backend as an extra checkpoint oracle "
-        "(external: out-of-core partitioned spill; csr-vec: alias of "
+        "(external: out-of-core spill; csr-vec: alias of "
         "csr, which every run already checks)",
-    )
-    p.add_argument(
-        "--external-bug",
-        action="store_true",
-        dest="external_bug",
-        help="self-test: inject a boundary-reconciliation bug (one dropped "
-        "demotion at a partition seam) into the external oracle and verify "
-        "the harness catches it (use with --backend external)",
     )
     p.set_defaults(func=_cmd_fuzz)
 

@@ -108,13 +108,14 @@ class UpdateStats:
     edges_changed       yes          yes
     candidates_examined yes          0
     levels_touched      yes          0
-    full_snapshots      0            1
+    full_snapshots      0            1 (0 on an empty batch)
     ==================  ===========  =========
 
     ``strategy`` is the resolved one: ``"auto"`` and the ``"batch"``
     alias report what they ran.  ``full_snapshots`` counts O(|E|) copies
     of the kappa map — zero on the incremental path by design (pinned by
-    ``tests/test_dynamic.py``).
+    ``tests/test_dynamic.py``), and zero on a recompute batch with no ops,
+    which runs no Algorithm 1 and leaves the graph version alone.
     """
 
     __slots__ = (
@@ -652,13 +653,18 @@ class DynamicTriangleKCore:
         self._check_not_stale()
         self._validate_ops(added, removed)
         version = self._graph.version
-        if strategy == "recompute":
+        if strategy == "recompute" and not (added or removed):
+            # Nothing to recompute: the graph and kappa stay as they are.
+            stats = UpdateStats()
+            stats.strategy = "recompute"
+            record: Dict[Edge, Optional[int]] = {}
+        elif strategy == "recompute":
             before = self._kappa
             stats = self._apply_by_recompute(added, removed)
             after = self._kappa
             # The old value of every edge whose kappa differs (None for a
             # created edge), in one pass over the new map.
-            record: Dict[Edge, Optional[int]] = {
+            record = {
                 edge: before.get(edge)
                 for edge, value in after.items()
                 if before.get(edge) != value

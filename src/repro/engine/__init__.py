@@ -7,9 +7,8 @@ design; the short version:
 * :class:`Engine` — backend registry (``reference``/``csr``/``csr-vec``/
   ``external``/``auto`` plus the snapshot-oriented ``dynamic`` strategy), a
   version-keyed artifact cache over
-  :attr:`Graph.version <repro.graph.undirected.Graph.version>`,
-  :meth:`Engine.map_decompose <repro.engine.engine.Engine.map_decompose>`
-  batch service, and :class:`EngineStats` instrumentation;
+  :attr:`Graph.version <repro.graph.undirected.Graph.version>`, and
+  :class:`EngineStats` instrumentation;
 * :func:`get_default_engine` / :func:`set_default_engine` /
   :func:`resolve_engine` — the module-level default every consumer API
   falls back to when no ``engine=`` handle is threaded;

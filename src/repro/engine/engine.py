@@ -44,9 +44,7 @@ from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
-    List,
     Optional,
     Tuple,
 )
@@ -113,7 +111,7 @@ def _decompose_csr(
 def _decompose_external(
     engine: "Engine", graph: Graph, store_membership: bool
 ) -> TriangleKCoreResult:
-    """``"external"``: out-of-core partitioned spill + reconciliation peel."""
+    """``"external"``: out-of-core spill + a triangle file, peeled like csr."""
     if store_membership:
         raise ValueError(
             "backend='external' does not support membership bookkeeping; "
@@ -135,10 +133,7 @@ def _decompose_external(
         )
     engine.stats.merge_counters(counters)
     engine.stats.record_external(
-        info.get("partitions", 1),
-        info.get("passes", 0),
-        info.get("bytes_mapped", 0),
-        info.get("bound_prune_hits", 0),
+        info.get("passes", 0), info.get("bytes_mapped", 0)
     )
     engine.stats.record_peel(peel_stats)
     return result
@@ -194,7 +189,7 @@ class Engine:
         between calls (and across processes).
     memory_budget:
         Resident-memory budget in bytes for the ``"external"`` backend's
-        partition sizing, and the input to ``"auto"``'s out-of-core
+        page release, and the input to ``"auto"``'s out-of-core
         escalation: when the estimated CSR payload of a graph exceeds the
         budget, ``"auto"`` resolves to ``"external"``.  ``None``
         (default) disables budget-based escalation.
@@ -401,38 +396,6 @@ class Engine:
         if use_cache:
             self._cache_put(graph, key, result)
         return result
-
-    def map_decompose(
-        self,
-        graphs: "Iterable[Graph]",
-        *,
-        backend: Optional[str] = None,
-        store_membership: bool = False,
-        use_cache: bool = True,
-    ) -> List[TriangleKCoreResult]:
-        """Decompose many graphs, one result per input, in input order.
-
-        Each graph is served through :meth:`decompose` — and therefore
-        through the version-keyed artifact cache, so duplicate (identical
-        object, unmutated) graphs in the batch cost one decomposition and
-        ``len - 1`` cache hits.  ``backend`` resolves per graph exactly as
-        in :meth:`decompose` (``"auto"`` may pick differently for graphs
-        of different sizes within one batch).
-        """
-        self.stats.bump("batch_calls")
-        results: List[TriangleKCoreResult] = []
-        with self.stats.stage("decompose.batch"):
-            for graph in graphs:
-                results.append(
-                    self.decompose(
-                        graph,
-                        backend=backend,
-                        store_membership=store_membership,
-                        use_cache=use_cache,
-                    )
-                )
-        self.stats.bump("batch_graphs", len(results))
-        return results
 
     def triangle_supports(
         self, graph: Graph, *, backend: Optional[str] = None, use_cache: bool = True
@@ -661,7 +624,7 @@ class Engine:
 
         ``provider()`` is called on every ``stats_dict()`` and its return
         value is embedded under ``payload[name]``.  Sections are additive
-        on top of the ``repro.engine.stats/8`` schema; a long-lived
+        on top of the ``repro.engine.stats/9`` schema; a long-lived
         consumer — the service layer — uses this to publish its own
         telemetry through the one ``--stats`` pipe.
         Reserved schema keys cannot be shadowed.

@@ -11,7 +11,7 @@ saved a recompute.
 The structured schema (``as_dict``)::
 
     {
-      "schema": "repro.engine.stats/8",
+      "schema": "repro.engine.stats/9",
       "counters":      {"decompositions": ..., "cache_hits": ...,
                         "triangles_enumerated": ..., "edges_peeled": ...,
                         "bucket_decrements": ..., "dynamic_updates": ...},
@@ -20,9 +20,8 @@ The structured schema (``as_dict``)::
       "stage_seconds": {"decompose.reference": ..., "dynamic.diff": ...},
       "peel":          {"executor": ..., "runs": ..., "levels": ...,
                         "batched_decrements": ..., "bound_skips": ...},
-      "external":      {"decompositions": ..., "partitions": ...,
-                        "passes": ..., "bytes_mapped": ...,
-                        "bound_prune_hits": ...},
+      "external":      {"decompositions": ..., "passes": ...,
+                        "bytes_mapped": ...},
       "workspace":     {"commands": ..., "graphs": ..., "views": ...,
                         "views_created": ..., "view_refreshes": ...,
                         "view_invalidations": ..., "materializations": ...},
@@ -37,7 +36,11 @@ drops the ``"parallel"`` section with the process-parallel backends it
 described; every other ``/6`` key is unchanged (the compatibility test
 pins this).  ``/8`` drops the ``"batch"`` section with the batch update
 strategy it described (``"batch"`` is now an alias of the incremental
-path); every other ``/7`` key is unchanged.
+path); every other ``/7`` key is unchanged.  ``/9`` drops
+``external.partitions`` and ``external.bound_prune_hits`` with the
+partitioned spill, and the ``batch_calls``/``batch_graphs`` counters and
+``decompose.batch`` stage with ``Engine.map_decompose``; every other
+``/8`` key is unchanged.
 
 Counter values are exact, not sampled: the static counters are derived
 from state Algorithm 1 computes anyway (see the ``counters`` hook on
@@ -53,7 +56,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator
 
 #: Version tag for the structured stats payload; bump on schema changes.
-STATS_SCHEMA = "repro.engine.stats/8"
+STATS_SCHEMA = "repro.engine.stats/9"
 
 
 class EngineStats:
@@ -72,9 +75,8 @@ class EngineStats:
         #: decrements / bound skips (see PeelStats in repro.fast.peelers).
         self.peel: Dict[str, object] = {}
         #: Aggregate view of every "external"-backend decomposition:
-        #: partition count of the most recent run plus cumulative
-        #: partition-scan passes, bytes mapped, and admission-bound prune
-        #: hits (see ExternalInfo in repro.fast.external).
+        #: cumulative triangle-file scans and bytes mapped (see
+        #: ExternalInfo in repro.fast.external).
         self.external: Dict[str, int] = {}
         #: Aggregate view of the interactive workspace riding on this
         #: engine: cumulative command / view-lifecycle counters plus
@@ -126,32 +128,17 @@ class EngineStats:
                 peel_stats.get(key, 0)
             )
 
-    def record_external(
-        self,
-        partitions: int,
-        passes: int,
-        bytes_mapped: int,
-        bound_prune_hits: int,
-    ) -> None:
+    def record_external(self, passes: int, bytes_mapped: int) -> None:
         """Record one ``"external"``-backend decomposition.
 
-        ``partitions`` reflects the most recent run (it overwrites);
-        ``decompositions``/``passes``/``bytes_mapped``/
-        ``bound_prune_hits`` accumulate.
+        ``decompositions``/``passes``/``bytes_mapped`` accumulate.
         """
-        self.external["decompositions"] = (
-            self.external.get("decompositions", 0) + 1
-        )
-        self.external["partitions"] = int(partitions)
-        self.external["passes"] = (
-            self.external.get("passes", 0) + int(passes)
-        )
-        self.external["bytes_mapped"] = (
-            self.external.get("bytes_mapped", 0) + int(bytes_mapped)
-        )
-        self.external["bound_prune_hits"] = (
-            self.external.get("bound_prune_hits", 0) + int(bound_prune_hits)
-        )
+        for key, amount in (
+            ("decompositions", 1),
+            ("passes", passes),
+            ("bytes_mapped", bytes_mapped),
+        ):
+            self.external[key] = self.external.get(key, 0) + int(amount)
 
     def record_workspace(
         self,

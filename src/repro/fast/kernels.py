@@ -111,7 +111,7 @@ def _forward_wedges(
     caller that enumerates in chunks passes one built once.
 
     ``lo``/``hi`` restrict the *first* vertex of each wedge to the id range
-    ``[lo, hi)`` — the partitioning primitive behind the ``external`` backend.
+    ``[lo, hi)`` — the chunking primitive behind the ``external`` backend.
     Because every triangle is discovered exactly once, from its
     lowest-ranked vertex, concatenating the outputs of disjoint covering
     ranges in ascending range order reproduces the full-graph output
@@ -213,11 +213,12 @@ def supports_and_triangles(
 
     ``lo``/``hi`` restrict the scan to triangles whose lowest-ranked vertex
     falls in the id range ``[lo, hi)`` (default: the whole graph).  The
-    returned ``supports`` always has length ``m``: a partition may touch
-    edges owned by other partitions, and summing the per-partition
-    supports element-wise plus concatenating the per-partition ``tri_edges``
-    in ascending range order reproduces the full-graph call exactly — the
-    contract the ``external`` backend's partitioned enumeration relies on.
+    returned ``supports`` always has length ``m``: a range's triangles may
+    touch edges whose lower endpoint lies outside it, and summing the
+    per-range supports element-wise plus concatenating the per-range
+    ``tri_edges`` in ascending range order reproduces the full-graph call
+    exactly — the contract the ``external`` backend's chunked enumeration
+    relies on.
 
     Both implementations (vectorized numpy join, pure merge loop) emit the
     same triangles in the same order, so downstream results are identical

@@ -18,21 +18,30 @@ conformance matrix and the fuzz profiles assert it.
 
 Canonical order.  The processing order is ascending level, then
 sub-round, then ascending edge id: deterministic and non-decreasing in
-kappa (any such order is valid per the paper).  The out-of-core backend
-(:mod:`repro.fast.external`) reproduces it decision for decision.
+kappa (any such order is valid per the paper).
 
-Two code paths with bit-identical output and stats.  With numpy the
-inner loop is O(sub-rounds) array passes, whose fixed cost per pass only
-pays once the graph holds :data:`NUMPY_MIN_TRIANGLES` triangles; below
-that, and on hosts without numpy, a pure-python path mirrors the numpy
-one decision for decision, its levels drawn from a bucket queue of the
-bounds, so the peel exists on every host.
+One driver per mode, one triangle step per backend.  The drivers
+(:func:`_level_sync_numpy`, :func:`_level_sync_pure`) own every rule
+above: level selection, the guard, the clamp, the canonical order and
+the counters.  Each sub-round asks a :data:`Gather` step for the partner
+edges of the unconsumed triangles holding the frontier.  ``csr``'s step
+reads an in-RAM edge → triangle incidence (:func:`run_peel`); the
+out-of-core backend (:mod:`repro.fast.external`) scans a triangle file
+(:func:`peel_by_gather`), so both give the same answers and counters.
+
+Two modes with bit-identical output and stats.  With numpy the inner
+loop is O(sub-rounds) array passes, whose fixed cost per pass only pays
+once the graph holds :data:`NUMPY_MIN_TRIANGLES` triangles; below that,
+and on hosts without numpy, the pure-python driver makes the numpy
+one's decisions in plain loops, its levels drawn from a bucket queue of
+the bounds, so the peel exists on every host.
 
 Stats.  When a ``stats`` dict is passed, the peel records ``executor``
-(``"vector"``), ``levels`` (distinct kappa values processed),
-``batched_decrements`` (support decrements applied) and ``bound_skips``
-(partner slots proven stable and skipped).  These feed the ``peel``
-section of ``repro.engine.stats/8``.
+(``"vector"``, or ``"external"`` for the out-of-core backend),
+``levels`` (distinct kappa values processed), ``batched_decrements``
+(support decrements applied) and ``bound_skips`` (partner slots proven
+stable and skipped).  These feed the ``peel`` section of
+``repro.engine.stats/9``.
 
 Array handoff contract.  The peel follows the contract of
 :func:`~repro.fast.kernels.supports_and_triangles`: with numpy it returns
@@ -45,12 +54,18 @@ Values become Python objects once, in the decode
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import csr as _csr_mod
 from .csr import _as_list
 
-__all__ = ["NUMPY_MIN_TRIANGLES", "PeelStats", "run_peel"]
+__all__ = [
+    "NUMPY_MIN_TRIANGLES",
+    "Gather",
+    "PeelStats",
+    "peel_by_gather",
+    "run_peel",
+]
 
 #: Per-run peel telemetry: ``{"executor": str, "levels": int,
 #: "batched_decrements": int, "bound_skips": int}``.
@@ -117,17 +132,19 @@ def _runs(values):
     return values[heads], np.diff(np.append(heads, values.size))
 
 
-def _peel_numpy(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
+#: One sub-round's triangle step.  Given the frontier (ascending edge ids),
+#: it returns the flat partner edge ids, three per triangle, of every
+#: not-yet-consumed triangle that holds a frontier edge, and marks those
+#: triangles consumed.  Each triangle is returned once, whatever number of
+#: its edges sit in the frontier.
+Gather = Callable[[IntSeq], IntSeq]
+
+
+def _level_sync_numpy(m: int, supports: IntSeq, gather: Gather) -> _PeelOutput:
+    """The level-synchronous peel as array passes over one ``gather``."""
     np = _csr_mod.np
-    tri = np.asarray(tri_edges, dtype=np.int64)
     bounds = np.array(supports, dtype=np.int64)  # a copy: mutated below
-    num_tris = tri.size // 3
-    tri3 = tri.reshape(num_tris, 3)
-    tri_start, incidence = _incidence_arrays(tri, m)
-    # Dedupe scratch: stamp[t] holds the slot of the last gathered copy.
-    stamp = np.empty(num_tris, dtype=np.int64)
     processed = np.zeros(m, dtype=bool)
-    consumed = np.zeros(num_tris, dtype=bool)
     kappa = np.zeros(m, dtype=np.int64)
     order_chunks: List[object] = []
     remaining = m
@@ -145,28 +162,9 @@ def _peel_numpy(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
             processed[frontier] = True
             remaining -= int(frontier.size)
             kappa[frontier] = level
-            # Gather the triangle lists of every frontier edge in one
-            # repeat/cumsum pass (no per-edge python loop).
-            counts = tri_start[frontier + 1] - tri_start[frontier]
-            total = int(counts.sum())
-            if total == 0:
+            partners = gather(frontier)
+            if not partners.size:
                 break  # no triangles => no decrements => no new frontier
-            starts = tri_start[frontier]
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            flat = np.repeat(starts - offsets, counts) + np.arange(
-                total, dtype=np.int64
-            )
-            tris = incidence.take(flat)
-            tris = tris[~consumed.take(tris)]
-            # A triangle with 2+ frontier edges is gathered once per
-            # edge: keep only the copy whose slot its stamp names.
-            slots = np.arange(tris.size, dtype=np.int64)
-            stamp[tris] = slots
-            tris = tris[stamp.take(tris) == slots]
-            consumed[tris] = True
-            # take() gathers whole rows several times faster than
-            # fancy indexing tri3[tris].
-            partners = np.take(tri3, tris, axis=0).ravel()
             # Theorem 1 guard on the PRE-sub-round bounds: an edge at or
             # below the level is provably stable — skip it untouched.
             decremented = partners[bounds.take(partners) > level]
@@ -185,22 +183,13 @@ def _peel_numpy(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
     return kappa, order, levels, batched, skips
 
 
-def _peel_pure(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
-    # Mirrors _peel_numpy decision for decision: same frontiers, same
-    # sub-rounds, same ascending-id ordering, same counters — the test
-    # suite asserts bit-identical output AND stats between the paths.
+def _level_sync_pure(m: int, supports: IntSeq, gather: Gather) -> _PeelOutput:
+    """:func:`_level_sync_numpy` in plain loops, decision for decision.
+
+    Same frontiers, same sub-rounds, same ascending-id ordering, same
+    counters — the test suite asserts bit-identical output AND stats.
+    """
     bounds = _as_list(supports)
-    tri_edges = _as_list(tri_edges)
-    # incident[e]: indices of the triangles holding edge e, ascending.
-    # Edges in no triangle share one empty tuple: on triangle-sparse
-    # graphs most edges are such, and a list each costs more than the peel.
-    incident: List[Sequence[int]] = [[] if s else () for s in bounds]
-    edges = iter(tri_edges)
-    for t, (a, b, c) in enumerate(zip(edges, edges, edges)):
-        incident[a].append(t)
-        incident[b].append(t)
-        incident[c].append(t)
-    consumed = bytearray(len(tri_edges) // 3)
     processed = bytearray(m)
     # buckets[b]: the edges filed at bound b.  A lowered bound refiles its
     # edge, so an entry is stale once its edge is processed or its bound
@@ -231,29 +220,18 @@ def _peel_pure(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
             for e in frontier:
                 processed[e] = 1
                 kappa[e] = level
-            hit: List[int] = []
-            for e in frontier:
-                for t in incident[e]:
-                    if not consumed[t]:
-                        consumed[t] = 1
-                        hit.append(t)
-            if not hit:
+            partners = gather(frontier)
+            if not partners:
                 break
             # Aggregate decrements per edge first, then apply: the guard
             # must see the pre-sub-round bounds (decrement order within a
             # sub-round is commutative, so aggregation loses nothing).
             decrements: Dict[int, int] = {}
-            for t in hit:
-                base = 3 * t
-                for e2 in (
-                    tri_edges[base],
-                    tri_edges[base + 1],
-                    tri_edges[base + 2],
-                ):
-                    if bounds[e2] > level:
-                        decrements[e2] = decrements.get(e2, 0) + 1
-                    else:
-                        skips += 1
+            for e2 in partners:
+                if bounds[e2] > level:
+                    decrements[e2] = decrements.get(e2, 0) + 1
+                else:
+                    skips += 1
             next_frontier: List[int] = []
             for e2, count in decrements.items():
                 batched += count
@@ -267,6 +245,121 @@ def _peel_pure(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
             next_frontier.sort()
             frontier = next_frontier
     return kappa, order, levels, batched, skips
+
+
+def _incidence_gather_numpy(m: int, tri_edges: IntSeq) -> Gather:
+    """The in-RAM :data:`Gather` over the flat triangle list ``tri_edges``."""
+    np = _csr_mod.np
+    tri = np.asarray(tri_edges, dtype=np.int64)
+    num_tris = tri.size // 3
+    tri3 = tri.reshape(num_tris, 3)
+    tri_start, incidence = _incidence_arrays(tri, m)
+    # Dedupe scratch: stamp[t] holds the slot of the last gathered copy.
+    stamp = np.empty(num_tris, dtype=np.int64)
+    consumed = np.zeros(num_tris, dtype=bool)
+    empty = np.empty(0, dtype=np.int64)
+
+    def gather(frontier):
+        # Gather the triangle lists of every frontier edge in one
+        # repeat/cumsum pass (no per-edge python loop).
+        counts = tri_start[frontier + 1] - tri_start[frontier]
+        total = int(counts.sum())
+        if total == 0:
+            return empty
+        starts = tri_start[frontier]
+        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        flat = np.repeat(starts - offsets, counts) + np.arange(
+            total, dtype=np.int64
+        )
+        tris = incidence.take(flat)
+        tris = tris[~consumed.take(tris)]
+        # A triangle with 2+ frontier edges is gathered once per
+        # edge: keep only the copy whose slot its stamp names.
+        slots = np.arange(tris.size, dtype=np.int64)
+        stamp[tris] = slots
+        tris = tris[stamp.take(tris) == slots]
+        consumed[tris] = True
+        # take() gathers whole rows several times faster than
+        # fancy indexing tri3[tris].
+        return np.take(tri3, tris, axis=0).ravel()
+
+    return gather
+
+
+def _incidence_gather_pure(supports: IntSeq, tri_edges: IntSeq) -> Gather:
+    """:func:`_incidence_gather_numpy` over lists (``supports`` is one)."""
+    tri_edges = _as_list(tri_edges)
+    # incident[e]: indices of the triangles holding edge e, ascending.
+    # Edges in no triangle share one empty tuple: on triangle-sparse
+    # graphs most edges are such, and a list each costs more than the peel.
+    incident: List[Sequence[int]] = [[] if s else () for s in supports]
+    edges = iter(tri_edges)
+    for t, (a, b, c) in enumerate(zip(edges, edges, edges)):
+        incident[a].append(t)
+        incident[b].append(t)
+        incident[c].append(t)
+    consumed = bytearray(len(tri_edges) // 3)
+
+    def gather(frontier):
+        partners: List[int] = []
+        for e in frontier:
+            for t in incident[e]:
+                if not consumed[t]:
+                    consumed[t] = 1
+                    partners += tri_edges[3 * t:3 * t + 3]
+        return partners
+
+    return gather
+
+
+def _peel_numpy(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
+    return _level_sync_numpy(
+        m, supports, _incidence_gather_numpy(m, tri_edges)
+    )
+
+
+def _peel_pure(m: int, supports: IntSeq, tri_edges: IntSeq) -> _PeelOutput:
+    supports = _as_list(supports)
+    return _level_sync_pure(
+        m, supports, _incidence_gather_pure(supports, tri_edges)
+    )
+
+
+def peel_by_gather(
+    m: int,
+    supports: IntSeq,
+    gather: Gather,
+    *,
+    stats: Optional[PeelStats] = None,
+) -> Tuple[IntSeq, IntSeq]:
+    """Peel with a caller's triangle step: how ``external`` reuses the peel.
+
+    ``gather`` is a :data:`Gather` over triangles that live elsewhere (the
+    out-of-core backend scans a triangle file).  With numpy the numpy
+    driver runs, and ``gather`` takes and returns int64 arrays; without
+    it the pure driver passes and takes lists.  Returns ``(kappa,
+    processing_order)`` as :func:`run_peel` does; ``stats`` receives the
+    :data:`PeelStats` with executor ``"external"``.
+    """
+    driver = _level_sync_pure if _csr_mod.np is None else _level_sync_numpy
+    return _finish(driver(m, supports, gather), "external", stats)
+
+
+def _finish(
+    output: _PeelOutput, executor: str, stats: Optional[PeelStats]
+) -> Tuple[IntSeq, IntSeq]:
+    """Hand a driver's output over in the module's array contract."""
+    kappa, order, levels, batched, skips = output
+    np = _csr_mod.np
+    if np is not None:  # the pure path also runs with numpy, on small inputs
+        kappa = np.asarray(kappa, dtype=np.int64)
+        order = np.asarray(order, dtype=np.int64)
+    if stats is not None:
+        stats["executor"] = executor
+        stats["levels"] = levels
+        stats["batched_decrements"] = batched
+        stats["bound_skips"] = skips
+    return kappa, order
 
 
 def run_peel(
@@ -296,14 +389,4 @@ def run_peel(
         output = _peel_pure(m, supports, tri_edges)
     else:
         output = _peel_numpy(m, supports, tri_edges)
-    kappa, order, levels, batched, skips = output
-    np = _csr_mod.np
-    if np is not None:  # the pure path also runs with numpy, on small inputs
-        kappa = np.asarray(kappa, dtype=np.int64)
-        order = np.asarray(order, dtype=np.int64)
-    if stats is not None:
-        stats["executor"] = "vector"
-        stats["levels"] = levels
-        stats["batched_decrements"] = batched
-        stats["bound_skips"] = skips
-    return kappa, order
+    return _finish(output, "vector", stats)

@@ -11,7 +11,7 @@ failure and a local ``pytest`` failure point at the same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bundle import ReproBundle
 from .editscript import EditScript
@@ -60,7 +60,6 @@ class FuzzResult:
 def _script_fails(
     checkpoint_every: int,
     oracles: Tuple[str, ...],
-    oracle_options: Optional[Dict[str, object]],
     sut_factory: SutFactory,
     apply_mode: str,
     batch_ops: int,
@@ -80,7 +79,6 @@ def _script_fails(
             script,
             checkpoint_every=min(checkpoint_every, 5),
             oracles=oracles,
-            oracle_options=oracle_options,
             sut_factory=sut_factory,
             apply_mode=apply_mode,
             batch_ops=min(batch_ops, 5),
@@ -97,7 +95,6 @@ def fuzz(
     profiles: Optional[Sequence[str]] = None,
     checkpoint_every: int = 100,
     oracles: Tuple[str, ...] = DEFAULT_ORACLES,
-    oracle_options: Optional[Dict[str, object]] = None,
     sut_factory: SutFactory = default_sut,
     shrink: bool = False,
     stop_on_failure: bool = True,
@@ -109,8 +106,7 @@ def fuzz(
 
     Parameters mirror the ``repro fuzz`` CLI flags; ``sut_factory`` is the
     extra hook the mutation smoke-check uses to inject a deliberately buggy
-    maintainer, and ``oracle_options`` configures the oracle matrix (see
-    :func:`~repro.testing.runner.run_script`).  ``apply_mode="batch"``
+    maintainer.  ``apply_mode="batch"``
     drives the maintainer in chunks instead: chunks of ``batch_ops``
     ops are coalesced and applied via ``diff_apply(strategy=batch_strategy)``
     (see :func:`~repro.testing.runner.run_script`).  Returns a
@@ -125,7 +121,6 @@ def fuzz(
             script,
             checkpoint_every=checkpoint_every,
             oracles=oracles,
-            oracle_options=oracle_options,
             sut_factory=sut_factory,
             apply_mode=apply_mode,
             batch_ops=batch_ops,
@@ -139,7 +134,7 @@ def fuzz(
                 shrink_result = shrink_script(
                     script,
                     _script_fails(
-                        checkpoint_every, oracles, oracle_options,
+                        checkpoint_every, oracles,
                         sut_factory, apply_mode, batch_ops, batch_strategy,
                     ),
                 )
@@ -150,7 +145,6 @@ def fuzz(
                     final_script,
                     checkpoint_every=min(checkpoint_every, 5),
                     oracles=oracles,
-                    oracle_options=oracle_options,
                     sut_factory=sut_factory,
                     apply_mode=apply_mode,
                     batch_ops=min(batch_ops, 5),

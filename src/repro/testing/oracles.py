@@ -16,8 +16,8 @@ kappa map against every *checkpoint oracle* registered here:
     compared through the kappa = truss - 2 correspondence.  Skipped
     automatically when networkx is not importable.
 ``external``
-    The out-of-core partitioned spill backend (:mod:`repro.fast.external`)
-    run on the shadow graph.  Opt-in.
+    The out-of-core spill backend (:mod:`repro.fast.external`) run on the
+    shadow graph.  Opt-in.
 ``per_op``
     A second :class:`DynamicTriangleKCore` fed the net edge diff *one op
     at a time* with incremental repairs.  Opt-in, aimed at the chunked
@@ -73,12 +73,7 @@ class CheckpointOracles:
     every oracle that ran.
     """
 
-    def __init__(
-        self,
-        oracles: Tuple[str, ...] = DEFAULT_ORACLES,
-        *,
-        external_partitions: int = 2,
-    ) -> None:
+    def __init__(self, oracles: Tuple[str, ...] = DEFAULT_ORACLES) -> None:
         for name in oracles:
             if name not in ORACLE_NAMES:
                 raise ValueError(
@@ -89,7 +84,6 @@ class CheckpointOracles:
         self._baseline_edges: set = set()
         self._per_op: Optional[DynamicTriangleKCore] = None
         self._nx_usable = "networkx" in self._names and networkx_available()
-        self._external_partitions = external_partitions
         # Private, cache-disabled engine: each oracle must recompute from
         # scratch every checkpoint — serving one oracle's cached artifact
         # to another would collapse their independence.
@@ -124,9 +118,7 @@ class CheckpointOracles:
             elif name == "external":
                 from ..fast.external import external_decomposition
 
-                answers[name] = external_decomposition(
-                    shadow, partitions=self._external_partitions
-                ).kappa
+                answers[name] = external_decomposition(shadow).kappa
             elif name == "per_op":
                 answers[name] = self._per_op_kappa(shadow)
         return answers

@@ -199,7 +199,6 @@ def run_script(
     *,
     checkpoint_every: int = 100,
     oracles: Tuple[str, ...] = DEFAULT_ORACLES,
-    oracle_options: Optional[Dict[str, object]] = None,
     sut_factory: SutFactory = default_sut,
     check_invariants: bool = True,
     apply_mode: str = "per_op",
@@ -207,10 +206,6 @@ def run_script(
     batch_strategy: str = "incremental",
 ) -> RunReport:
     """Play ``script`` from an empty graph, cross-checking as documented.
-
-    ``oracle_options`` are keyword arguments forwarded to
-    :class:`CheckpointOracles` (e.g. ``external_partitions`` for the
-    opt-in ``"external"`` oracle).
 
     ``apply_mode="batch"`` drives the maintainer in chunks instead (any
     strategy, ``"incremental"`` by default): the script is cut into chunks of ``batch_ops`` ops, each
@@ -236,7 +231,7 @@ def run_script(
         )
     if batch_ops < 1:
         raise ValueError("batch_ops must be >= 1")
-    matrix = CheckpointOracles(oracles, **(oracle_options or {}))
+    matrix = CheckpointOracles(oracles)
     shadow = Graph()
     sut = sut_factory(Graph())
     checkpoints = 0

@@ -11,7 +11,7 @@ cache), an optional live :class:`~repro.service.client.ServiceClient`
 are applied through.
 
 Every mutation reports into the engine's ``workspace`` stats section
-(``repro.engine.stats/8``), so one ``--stats`` payload tells the whole
+(``repro.engine.stats/9``), so one ``--stats`` payload tells the whole
 story of a session.
 """
 

@@ -15,8 +15,8 @@ The matrix axes:
 
 Asserted per cell: the kappa map equals the reference backend's exactly;
 processing order is the one canonical order wherever the batched peel
-runs (``csr`` == its alias ``csr-vec`` == ``external`` at every
-partition count == the ``repro.fast.parallel`` delegate); triangle counts
+runs (``csr`` == its alias ``csr-vec`` == ``external`` == the
+``repro.fast.parallel`` delegate); triangle counts
 agree across counting backends; membership bookkeeping is refused by every backend
 that cannot provide it (error contract), and the ``auto`` policy degrades
 instead of erroring.  Each check runs on a fresh cache-disabled engine so
@@ -163,8 +163,8 @@ class TestExecutorFamilies:
 
     Kappa must equal the reference everywhere (covered by the matrix
     above); processing order must be *bit-identical* across ``csr``, its
-    ``csr-vec`` alias and ``external`` — partitioned enumeration feeding
-    the same level-synchronous peel cannot change the order — while the
+    ``csr-vec`` alias and ``external`` — a triangle file feeding the same
+    level-synchronous peel cannot change the order — while the
     reference may legitimately order ties differently.
     """
 
@@ -183,17 +183,20 @@ class TestExecutorFamilies:
 
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_external_bit_identical_to_csr_vec(self, name):
-        # The out-of-core backend's level-synchronous reconciliation peel
-        # must reproduce csr's canonical order bit-for-bit at every
-        # partition count, seams or no seams.
+        # The out-of-core backend runs csr's peel over a triangle file: it
+        # must reproduce csr's kappa, canonical order and peel counters.
         from repro.fast.external import external_decomposition
 
         graph = fixed_graphs()[name]
-        expected = csr_decomposition(graph)
-        for partitions in (1, 2, 3, 7):
-            result = external_decomposition(graph, partitions=partitions)
-            assert result.kappa == expected.kappa
-            assert result.processing_order == expected.processing_order
+        expected_stats: dict = {}
+        expected = csr_decomposition(graph, peel_stats=expected_stats)
+        stats: dict = {}
+        result = external_decomposition(graph, peel_stats=stats)
+        assert result.kappa == expected.kappa
+        assert result.processing_order == expected.processing_order
+        stats.pop("executor")
+        expected_stats.pop("executor")
+        assert stats == expected_stats
 
     @pytest.mark.parametrize("name", GRAPH_NAMES)
     def test_vector_order_is_valid_and_kappa_sorted(self, name):
@@ -341,15 +344,19 @@ def graphs(draw, max_vertices: int = 14) -> Graph:
 
 
 @settings(max_examples=50, deadline=None)
-@given(graphs(), st.integers(min_value=1, max_value=6))
-def test_every_backend_agrees_on_random_graphs(graph, partitions):
+@given(graphs())
+def test_every_backend_agrees_on_random_graphs(graph):
     from repro.fast.external import external_decomposition
 
     expected = triangle_kcore_decomposition(graph, backend="reference")
-    csr = csr_decomposition(graph)
+    csr_stats: dict = {}
+    csr = csr_decomposition(graph, peel_stats=csr_stats)
     assert csr.kappa == expected.kappa
-    ext = external_decomposition(graph, partitions=partitions)
+    ext_stats: dict = {}
+    ext = external_decomposition(graph, peel_stats=ext_stats)
     assert ext.kappa == expected.kappa
     assert ext.processing_order == csr.processing_order
+    assert ext_stats["executor"] == "external"
+    assert {**ext_stats, "executor": "vector"} == csr_stats
     dyn = Engine(max_cached_graphs=0).decompose(graph, backend="dynamic")
     assert dyn.kappa == expected.kappa

@@ -576,6 +576,22 @@ class TestDiffApply:
         assert delta.is_empty
         assert "+0" in repr(delta)
 
+    def test_empty_recompute_batch_runs_no_algorithm_1(self, k5, monkeypatch):
+        import repro.core.dynamic as dynamic_mod
+
+        maintainer = DynamicTriangleKCore(k5)
+        version = maintainer.graph.version
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty batch ran Algorithm 1")
+
+        monkeypatch.setattr(dynamic_mod, "triangle_kcore_decomposition", refuse)
+        delta = maintainer.diff_apply((), (), strategy="recompute")
+        assert delta.is_empty
+        assert delta.stats.strategy == "recompute"
+        assert delta.stats.full_snapshots == 0
+        assert maintainer.graph.version == version
+
     def test_delta_under_recompute_strategy(self):
         g = erdos_renyi(20, 0.3, seed=41)
         a = DynamicTriangleKCore(g)

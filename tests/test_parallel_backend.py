@@ -7,12 +7,12 @@ here:
 
 * the in-process ``repro.fast.parallel`` delegates the benchmark tracer
   imports — bit-identical to the csr kernels, no process ever started;
-* the arc-balanced vertex-range partitioner, which now lives on as the
-  external backend's ``_partition_ranges`` (including the hypothesis
-  tiling property);
+* the arc-bounded vertex-range splitter, which lives on as the external
+  backend's enumeration chunker ``_enum_chunks`` (including the
+  hypothesis tiling property);
 * ``BackendError`` and the engine surfacing it, the ``auto`` policy that
-  replaced the parallel tiering, the stats schema without its
-  ``parallel`` section, and the ``Engine.map_decompose`` batch API.
+  replaced the parallel tiering, and the stats schema without its
+  ``parallel`` section.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.fast import (
     supports_and_triangles,
 )
 from repro.fast import csr as csr_mod
-from repro.fast.external import _partition_ranges
+from repro.fast.external import _enum_chunks
 from repro.fast.parallel import (
     parallel_decomposition,
     parallel_supports_and_triangles,
@@ -53,7 +53,26 @@ def er(seed: int = 0, n: int = 60, p: float = 0.15) -> Graph:
 
 
 def shard_ranges(csr: CSRGraph, shards: int):
-    return _partition_ranges(csr.indptr, csr.num_vertices, shards)
+    """The enumeration chunks of ``csr`` at an arc cap of ``1/shards`` of
+    its arcs."""
+    return _enum_chunks(csr, 0, csr.num_vertices, shard_cap(csr, shards))
+
+
+def shard_cap(csr: CSRGraph, shards: int) -> int:
+    return max(1, -(-csr.indptr[csr.num_vertices] // shards))
+
+
+def assert_tiles_within_cap(csr: CSRGraph, ranges, cap: int) -> None:
+    """``ranges`` tile ``[0, n)`` in order, and each scans at most ``cap``
+    arcs unless it is one vertex's indivisible block."""
+    assert ranges[0][0] == 0
+    assert ranges[-1][1] == csr.num_vertices
+    for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+        assert hi == lo  # contiguous, non-overlapping
+    indptr = csr.indptr
+    for lo, hi in ranges:
+        assert lo < hi
+        assert hi - lo == 1 or indptr[hi] - indptr[lo] <= cap
 
 
 # ------------------------------------------------------------------ #
@@ -120,7 +139,7 @@ class TestShortCircuitAndDegenerates:
 
 
 # ------------------------------------------------------------------ #
-# arc-balanced vertex ranges (the external backend's partitioner)
+# arc-bounded vertex ranges (the external backend's enumeration chunks)
 # ------------------------------------------------------------------ #
 
 
@@ -130,18 +149,14 @@ class TestShardRanges:
     def test_partition_properties(self, seed, shards):
         csr = CSRGraph.from_graph(er(seed=seed, n=50, p=0.12))
         ranges = shard_ranges(csr, shards)
-        assert 1 <= len(ranges) <= max(shards, 1)
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == csr.num_vertices
-        for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-            assert hi == lo  # contiguous, non-overlapping
-        assert all(lo < hi for lo, hi in ranges)
+        assert len(ranges) >= min(shards, 2) or shards == 1
+        assert_tiles_within_cap(csr, ranges, shard_cap(csr, shards))
 
     def test_empty_graph_yields_no_ranges(self):
         assert shard_ranges(CSRGraph.from_graph(Graph()), 4) == []
 
     def test_arc_balance_beats_vertex_balance_on_hub_graphs(self):
-        # Degree-ordered relabeling puts the hub last; arc-balanced cuts
+        # Degree-ordered relabeling puts the hub last; arc-bounded cuts
         # must not leave the whole workload in the final range.
         graph = Graph(edges=[(0, i) for i in range(1, 101)])
         csr = CSRGraph.from_graph(graph)
@@ -154,7 +169,7 @@ class TestShardRanges:
 if HAVE_HYPOTHESIS:
 
     class TestShardTilingProperty:
-        """Hypothesis: the partitioner tiles [0, n) for any degree shape.
+        """Hypothesis: the chunker tiles [0, n) for any degree shape.
 
         The strategy builds adversarial shapes directly from degree
         sequences — empty vertices, one mega-hub, long paths, duplicate
@@ -188,11 +203,7 @@ if HAVE_HYPOTHESIS:
             if csr.num_vertices == 0:
                 assert ranges == []
                 return
-            assert ranges[0][0] == 0
-            assert ranges[-1][1] == csr.num_vertices
-            for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-                assert hi == lo
-            assert all(lo < hi for lo, hi in ranges)
+            assert_tiles_within_cap(csr, ranges, shard_cap(csr, shards))
 
         @given(
             stubs=st.lists(
@@ -256,61 +267,21 @@ class TestAutoPolicy:
 
 
 # ------------------------------------------------------------------ #
-# engine stats: schema /8
+# engine stats: schema /9
 # ------------------------------------------------------------------ #
 
 
 class TestStatsSchema:
     def test_schema_bumped(self):
-        assert STATS_SCHEMA == "repro.engine.stats/8"
+        assert STATS_SCHEMA == "repro.engine.stats/9"
 
     def test_v1_keys_still_present(self):
         # Old readers keep working: the /1 keys survive every bump, /7
         # dropped only the parallel section and /8 only the batch one.
+        # /9 dropped two external keys and the map_decompose counters.
         payload = EngineStats().as_dict()
         assert {"schema", "counters", "backend_calls", "stage_seconds"} <= (
             set(payload)
         )
         assert "parallel" not in payload
         assert "batch" not in payload
-
-
-# ------------------------------------------------------------------ #
-# Engine.map_decompose
-# ------------------------------------------------------------------ #
-
-
-class TestMapDecompose:
-    def test_results_in_input_order(self):
-        engine = Engine()
-        g1, g2 = complete_graph(4), complete_graph(5)
-        r1, r2 = engine.map_decompose([g1, g2], backend="csr")
-        assert r1.max_kappa == 2
-        assert r2.max_kappa == 3
-
-    def test_duplicates_served_from_cache(self):
-        engine = Engine()
-        graph = er(seed=11)
-        results = engine.map_decompose([graph, graph, graph])
-        assert results[0] is results[1] is results[2]
-        assert engine.stats.cache_hits == 2
-        assert engine.stats.counters["batch_calls"] == 1
-        assert engine.stats.counters["batch_graphs"] == 3
-
-    def test_parallel_batch_matches_reference(self):
-        engine = Engine(max_cached_graphs=0)
-        graphs = [er(seed=s, n=40) for s in range(3)]
-        results = engine.map_decompose(graphs, backend="csr-vec")
-        for graph, result in zip(graphs, results):
-            assert result.kappa == csr_decomposition(graph).kappa
-        assert engine.stats_dict()["backend_calls"]["csr-vec"] == 3
-
-    def test_mutation_between_batches_invalidates(self):
-        engine = Engine()
-        graph = complete_graph(4)
-        (first,) = engine.map_decompose([graph])
-        graph.add_edge(0, 99)
-        graph.add_edge(1, 99)
-        (second,) = engine.map_decompose([graph])
-        assert second is not first
-        assert second.kappa_of(0, 99) == 1

@@ -119,7 +119,7 @@ class TestReadConformance:
 
     def test_stats_has_engine_and_service_sections(self, client):
         stats = client.stats()
-        assert stats["schema"] == "repro.engine.stats/8"
+        assert stats["schema"] == "repro.engine.stats/9"
         service = stats["service"]
         assert service["schema"] == "repro.service/1"
         assert service["graph"]["edges"] == make_fixture_graph().num_edges
@@ -531,6 +531,22 @@ class TestServiceState:
         )
         assert outcome["applied"] == 1
         assert state.version > 0
+
+    def test_net_empty_recompute_edit_runs_no_algorithm_1(self, monkeypatch):
+        import repro.core.dynamic as dynamic_mod
+
+        state = ServiceState(make_fixture_graph())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a net-empty write ran Algorithm 1")
+
+        monkeypatch.setattr(dynamic_mod, "triangle_kcore_decomposition", refuse)
+        outcome = state.apply_edits(
+            EditScript.from_json_obj({"ops": [["add", 11, 0], ["remove", 11, 0]]}),
+            strategy="recompute",
+        )
+        assert outcome["strategy"] == "recompute"
+        assert outcome["version"] == 0
 
     def test_templates_against_startup_baseline(self):
         state = ServiceState(make_fixture_graph())

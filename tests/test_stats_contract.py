@@ -2,7 +2,7 @@
 
 Contract: with ``--stats``, a subcommand's **last stdout line** is exactly
 one JSON object validating against the engine stats schema
-(``repro.engine.stats/8``) — everything human-readable goes above it, so
+(``repro.engine.stats/9``) — everything human-readable goes above it, so
 scripts can always ``tail -1 | jq``.  The ``serve`` subcommand honours the
 same contract by dumping stats after its SIGTERM drain, and ``shell`` by
 dumping stats after its last command.
@@ -26,7 +26,7 @@ from repro.graph import Graph, write_edge_list
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Required top-level keys of the stats /8 schema.
+#: Required top-level keys of the stats /9 schema.
 STATS_KEYS = {
     "schema",
     "counters",
@@ -47,7 +47,7 @@ def assert_stats_contract(stdout: str) -> dict:
     assert lines, "no output produced"
     payload = json.loads(lines[-1])
     assert isinstance(payload, dict)
-    assert payload["schema"] == "repro.engine.stats/8"
+    assert payload["schema"] == "repro.engine.stats/9"
     assert STATS_KEYS <= set(payload), sorted(STATS_KEYS - set(payload))
     # Exactly one JSON object: the line above it (if any) must NOT parse
     # as a JSON object (it is human-readable prose).
@@ -86,14 +86,18 @@ def _stats_argvs(edge_file, tmp_path):
 
 
 class TestSchemaCompat:
-    """Schema bumps only add sections, except the removals of /7 and /8.
+    """Schema bumps only add sections, except the removals of /7, /8, /9.
 
     /4 added the "peel" section, /5 the "external" section and /6 the
     "workspace" section, each a strict superset of its predecessor.  /7
     removed the "parallel" section together with the process-parallel
     backends it described, and /8 the "batch" section together with the
     batch update strategy; every other /7 key is unchanged, so a /7
-    reader that never read "batch" keeps working.
+    reader that never read "batch" keeps working.  /9 keeps every /8
+    section and drops two keys of "external" ("partitions",
+    "bound_prune_hits") with the partitioned spill, and the
+    "batch_calls"/"batch_graphs" counters and "decompose.batch" stage
+    with ``Engine.map_decompose``.
     """
 
     V7_KEYS = {
@@ -101,11 +105,31 @@ class TestSchemaCompat:
         "batch", "peel", "external", "workspace",
     }
 
+    V8_EXTERNAL_KEYS = {
+        "decompositions", "partitions", "passes", "bytes_mapped",
+        "bound_prune_hits",
+    }
+
     def test_v8_drops_only_the_batch_section_from_v7(self):
         from repro.engine import EngineStats
 
         payload = EngineStats().as_dict()
         assert set(payload) == self.V7_KEYS - {"batch"}
+
+    def test_v9_drops_only_two_external_keys_from_v8(self):
+        from repro.engine import Engine
+        from repro.graph import complete_graph
+
+        engine = Engine(max_cached_graphs=0)
+        engine.decompose(complete_graph(6), backend="external")
+        payload = engine.stats.as_dict()
+        assert set(payload) == self.V7_KEYS - {"batch"}
+        assert set(payload["external"]) == self.V8_EXTERNAL_KEYS - {
+            "partitions", "bound_prune_hits",
+        }
+        assert not {"batch_calls", "batch_graphs"} & set(payload["counters"])
+        assert "decompose.batch" not in payload["stage_seconds"]
+        assert not hasattr(engine, "map_decompose")
 
     def test_workspace_section_populates_from_workspace_use(self):
         from repro.engine import Engine
@@ -131,10 +155,8 @@ class TestSchemaCompat:
         engine.decompose(complete_graph(6), backend="external")
         section = engine.stats_dict()["external"]
         assert section["decompositions"] == 1
-        assert section["partitions"] >= 1
         assert section["passes"] >= 1
         assert section["bytes_mapped"] > 0
-        assert section["bound_prune_hits"] == 0
 
     def test_peel_section_populates_from_vector_run(self):
         from repro.engine import Engine
